@@ -3,7 +3,9 @@
 The boundary of every mesh is partitioned into a heat-exchange part
 (``gamma1``, where Robin or Dirichlet data act) and a flux part (``gamma2``).
 ``gamma1`` must be nonempty.  Nodes are ordered lexicographically by (y, x)
-so that assembly and projected sweeps iterate in a reproducible order.
+so that assembly iterates in a reproducible order; projected sweeps go by
+colour classes of the matrix graph, coloured greedily in this node order,
+so they are deterministic too.
 Meshes are immutable after construction and safe to share between solves.
 """
 

@@ -40,11 +40,6 @@ from .errors import (
 )
 from .mesh import Mesh, ScalarField
 
-try:  # sequential sweeps are slow in pure Python; jit them when possible
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover
-    _njit = None
-
 ROBIN = "robin"
 DIRICHLET_LIMIT = "dirichlet_limit"
 FAMILIES = (ROBIN, DIRICHLET_LIMIT)
@@ -134,41 +129,26 @@ def _report(p: VIProblem, mesh, free, full, u_f, iterations, residual):
     )
 
 
-def _psor_sweeps(indptr, indices, data, diag, f, lb, u, omega, tol, max_iter):
-    n = u.shape[0]
-    res = np.inf
-    for it in range(max_iter):
-        for i in range(n):
-            s = 0.0
-            for k in range(indptr[i], indptr[i + 1]):
-                j = indices[k]
-                if j != i:
-                    s += data[k] * u[j]
-            gs = (f[i] - s) / diag[i]
-            ui = u[i] + omega * (gs - u[i])
-            if ui < lb[i]:
-                ui = lb[i]
-            u[i] = ui
-        res = 0.0
-        for i in range(n):
-            s = 0.0
-            for k in range(indptr[i], indptr[i + 1]):
-                s += data[k] * u[indices[k]]
-            m = u[i] - lb[i]
-            r = s - f[i]
-            if r < m:
-                m = r
-            if m < 0.0:
-                m = -m
-            if m > res:
-                res = m
-        if res <= tol:
-            return it + 1, res
-    return max_iter, res
+def _colour_classes(a: sp.csr_matrix) -> list[np.ndarray]:
+    """Greedy colouring of the graph of a's nonzero off-diagonal entries.
 
-
-if _njit is not None:
-    _psor_sweeps = _njit(cache=True)(_psor_sweeps)
+    Rows are coloured in index order, each with the smallest colour none of
+    its neighbours holds; the pattern is symmetrized first, so no two rows
+    of one class couple in either direction.  Returns the row indices of
+    each class, classes in colour order.
+    """
+    n = a.shape[0]
+    graph = (abs(a) + abs(a.T)).tocsr()
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    colour = [-1] * n
+    for i in range(n):
+        taken = {colour[j] for j in indices[indptr[i]:indptr[i + 1]]}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[i] = c
+    colour = np.asarray(colour, dtype=np.int64)
+    return [np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)]
 
 
 def solve_psor(
@@ -181,9 +161,11 @@ def solve_psor(
 ) -> VIReport:
     """Projected SOR.
 
-    Sweeps nodes in order, relaxes the Gauss-Seidel update by omega and
-    projects onto the obstacle, so iterates stay feasible.  Terminates when
-    the complementarity residual drops below tol.
+    Sweeps the colour classes of the free-node matrix graph in order (see
+    :func:`_colour_classes`); the rows of one class do not couple, so each
+    class takes its Gauss-Seidel update at once.  The update is relaxed by
+    omega and projected onto the obstacle, so iterates stay feasible.
+    Terminates when the complementarity residual drops below tol.
     """
     if not (0.0 < omega < 2.0):
         raise InvalidParameterError(f"omega must be in (0, 2), got {omega}")
@@ -197,9 +179,13 @@ def solve_psor(
         u_f = np.maximum(lb_f, 0.0)
     else:
         u_f = np.maximum(np.asarray(u0, dtype=float)[free], lb_f)
-    iters, res = _psor_sweeps(
-        a_ff.indptr, a_ff.indices, a_ff.data, diag, f_f, lb_f, u_f, omega, tol, max_iter
-    )
+    blocks = [(c, a_ff[c], f_f[c], diag[c], lb_f[c]) for c in _colour_classes(a_ff)]
+    iters, res = 0, np.inf
+    while iters < max_iter and res > tol:
+        iters += 1
+        for c, a_c, f_c, d_c, lb_c in blocks:
+            u_f[c] = np.maximum(lb_c, u_f[c] + omega * ((f_c - a_c @ u_f) / d_c))
+        res = _complementarity(a_ff, f_f, lb_f, u_f)
     if res > tol:
         raise NonConvergenceError(
             f"projected SOR: residual {res:.3e} > tol {tol:.1e} after {iters} sweeps",

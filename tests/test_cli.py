@@ -152,6 +152,14 @@ def test_state_rerun_is_byte_identical(tmp_path):
     assert (a / "state.csv").read_bytes() == (b / "state.csv").read_bytes()
 
 
+def test_psor_state_rerun_is_byte_identical(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    args = ["state", "--preset", "contact-v1", "--set", "n=16", "--set", "solver=psor"]
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert (a / "state.csv").read_bytes() == (b / "state.csv").read_bytes()
+
+
 def test_interp_check_passes(tmp_path):
     out = tmp_path / "run"
     assert main(["interp-check", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from vicontrol.assembly import (
@@ -15,6 +16,8 @@ from vicontrol.vi_solver import (
     DIRICHLET_LIMIT,
     ROBIN,
     VIProblem,
+    _colour_classes,
+    _free_split,
     build_vi_problem,
     solve_active_set,
     solve_enumerate,
@@ -221,3 +224,45 @@ def test_dirichlet_limit_load_ignores_alpha():
     u1 = solve_state(m, sys, d1, DIRICHLET_LIMIT).values()
     u2 = solve_state(m, sys, d2, DIRICHLET_LIMIT).values()
     np.testing.assert_array_equal(u1, u2)
+
+
+def assert_proper_colouring(a, classes):
+    nodes = np.concatenate(classes)
+    np.testing.assert_array_equal(np.sort(nodes), np.arange(a.shape[0]))
+    colour = np.empty(a.shape[0], dtype=np.int64)
+    for k, c in enumerate(classes):
+        colour[c] = k
+    coo = a.tocoo()
+    off = coo.row != coo.col
+    assert np.all(colour[coo.row[off]] != colour[coo.col[off]])
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_colour_classes_split_free_nodes_into_uncoupled_sets(family):
+    m, sys, data = contact_problem(n=8)
+    _, a_ff, _, _, _ = _free_split(build_vi_problem(m, sys, data, family))
+    classes = _colour_classes(a_ff)
+    assert_proper_colouring(a_ff, classes)
+    assert len(classes) == 2  # the structured stencil stores no cell-diagonal coupling
+
+
+def test_psor_matches_active_set_on_a_three_colour_m_matrix():
+    rng = np.random.default_rng(3)
+    n = 40
+    upper = sp.triu(sp.random(n, n, density=0.12, random_state=rng), k=1)
+    off = -(upper + upper.T).tocsr()
+    a = (off + sp.diags(1.0 + np.asarray(abs(off).sum(axis=1)).ravel())).tocsr()
+    classes = _colour_classes(a)
+    assert len(classes) >= 3
+    assert_proper_colouring(a, classes)
+    p = VIProblem(A=a, F=rng.uniform(-1.0, 1.0, n), lower_bound=np.zeros(n))
+    psor = solve_psor(p)
+    ref = solve_active_set(p, tol=1e-12)
+    assert ref.active_set.size > 0
+    assert np.max(np.abs(psor.values() - ref.values())) <= 1e-9
+
+
+def test_psor_repeat_is_bit_identical():
+    m, sys, data = contact_problem(n=16)
+    p = build_vi_problem(m, sys, data, ROBIN)
+    np.testing.assert_array_equal(solve_psor(p).values(), solve_psor(p).values())
