@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import AssemblyError, InvalidParameterError
-from .mesh import Mesh, ScalarField, constant_field, interpolate
+from .mesh import _AREA_TOL, Mesh, ScalarField, _element_geometry, constant_field, interpolate
 
 # control/flux specifications accepted by problem data
 ControlSpec = Union[float, Callable[[float, float], float], ScalarField, None]
@@ -69,18 +69,15 @@ class AssembledSystem:
 
     K is the stiffness matrix of the Dirichlet form, M_H the domain mass
     matrix, M_R the boundary mass matrix supported on gamma1 nodes.
-    q_load and b_load hold the gamma2 flux functional and the gamma1
-    environment-temperature functional for the data passed to
-    :func:`assemble` (unit data q = 1, b = 1 when none was given).
+    b_load holds the gamma1 environment-temperature functional (b, phi_i)_R
+    for the data passed to :func:`assemble` (b = 1 when none was given).
     """
 
     mesh: Mesh
     K: sp.csr_matrix
     M_H: sp.csr_matrix
     M_R: sp.csr_matrix
-    q_load: np.ndarray
     b_load: np.ndarray
-    alpha: float | None = None
 
 
 def as_control_field(mesh: Mesh, g: ControlSpec) -> ScalarField:
@@ -101,47 +98,22 @@ def _symmetrized(coo: sp.coo_matrix) -> sp.csr_matrix:
     return ((a + a.T) * 0.5).tocsr()
 
 
-def _element_geometry(mesh: Mesh):
-    p = mesh.nodes[mesh.triangles]
-    x, y = p[:, :, 0], p[:, :, 1]
-    bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (x[:, 0] * bvec[:, 0] + x[:, 1] * bvec[:, 1] + x[:, 2] * bvec[:, 2])
-    if np.any(area <= 1e-14):
-        bad = int(np.argmax(area <= 1e-14))
-        raise AssemblyError(
-            f"triangle {bad} with nodes {mesh.triangles[bad].tolist()} is degenerate "
-            f"(area {area[bad]:.3e})"
-        )
-    return bvec, cvec, area
-
-
-def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    tri = mesh.triangles
-    t = tri.shape[0]
-    rows = np.broadcast_to(tri[:, :, None], (t, 3, 3)).ravel()
-    cols = np.broadcast_to(tri[:, None, :], (t, 3, 3)).ravel()
+def _scatter(mesh: Mesh, cells: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
+    """Sum the local matrices of the cells (triangles or edges) into a global one."""
+    rows = np.broadcast_to(cells[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(cells[:, None, :], local.shape).ravel()
     n = mesh.node_count
     return _symmetrized(sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)))
 
 
 def _edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
-    if edges.shape[0] == 0:
-        return np.empty(0)
     d = mesh.nodes[edges[:, 0]] - mesh.nodes[edges[:, 1]]
     return np.linalg.norm(d, axis=1)
 
 
 def _gamma1_mass(mesh: Mesh) -> sp.csr_matrix:
-    n = mesh.node_count
-    edges = mesh.gamma1_edges
-    if edges.shape[0] == 0:
-        return sp.csr_matrix((n, n))
-    ell = _edge_lengths(mesh, edges)
-    local = ell[:, None, None] * _EDGE_TEMPLATE
-    rows = np.broadcast_to(edges[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(edges[:, None, :], local.shape).ravel()
-    return _symmetrized(sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)))
+    ell = _edge_lengths(mesh, mesh.gamma1_edges)
+    return _scatter(mesh, mesh.gamma1_edges, ell[:, None, None] * _EDGE_TEMPLATE)
 
 
 def _flux_value(q: FluxSpec, mid: np.ndarray) -> float:
@@ -166,26 +138,26 @@ def _flux_value(q: FluxSpec, mid: np.ndarray) -> float:
     return float(q)
 
 
+def _edge_load(mesh: Mesh, edges: np.ndarray, per_edge: np.ndarray) -> np.ndarray:
+    """Nodal load giving each end node of edge e half of per_edge[e].
+
+    Contributions are summed in edge order, first node before second.
+    """
+    half = np.repeat(per_edge / 2.0, 2)
+    return np.bincount(edges.ravel(), weights=half, minlength=mesh.node_count)
+
+
 def _gamma2_flux_load(mesh: Mesh, q: FluxSpec) -> np.ndarray:
     """(q, phi_i) over gamma2, exact for edge-constant q."""
-    out = np.zeros(mesh.node_count)
-    for a, b in mesh.gamma2_edges:
-        pa, pb = mesh.nodes[a], mesh.nodes[b]
-        ell = float(np.linalg.norm(pb - pa))
-        qe = _flux_value(q, 0.5 * (pa + pb))
-        out[a] += qe * ell / 2.0
-        out[b] += qe * ell / 2.0
-    return out
+    edges = mesh.gamma2_edges
+    mids = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+    qe = np.array([_flux_value(q, mid) for mid in mids], dtype=float)
+    return _edge_load(mesh, edges, qe * _edge_lengths(mesh, edges))
 
 
 def _gamma1_unit_load(mesh: Mesh) -> np.ndarray:
     """(1, phi_i) over gamma1: each node gets half its adjacent edge length."""
-    out = np.zeros(mesh.node_count)
-    ell = _edge_lengths(mesh, mesh.gamma1_edges)
-    for (a, b), le in zip(mesh.gamma1_edges, ell):
-        out[a] += le / 2.0
-        out[b] += le / 2.0
-    return out
+    return _edge_load(mesh, mesh.gamma1_edges, _edge_lengths(mesh, mesh.gamma1_edges))
 
 
 def assemble(mesh: Mesh, data: ProblemData | None = None) -> AssembledSystem:
@@ -195,9 +167,7 @@ def assemble(mesh: Mesh, data: ProblemData | None = None) -> AssembledSystem:
     ----------
     mesh : Mesh
     data : ProblemData, optional
-        When given, q_load and b_load are assembled for data.q and data.b
-        and alpha is recorded; otherwise unit data (q = 1, b = 1) is used
-        and alpha is None.
+        When given, b_load is assembled for data.b; otherwise for b = 1.
 
     Returns
     -------
@@ -207,21 +177,24 @@ def assemble(mesh: Mesh, data: ProblemData | None = None) -> AssembledSystem:
         gamma1 nodes.
     """
     bvec, cvec, area = _element_geometry(mesh)
+    if np.any(area <= _AREA_TOL):
+        bad = int(np.argmax(area <= _AREA_TOL))
+        raise AssemblyError(
+            f"triangle {bad} with nodes {mesh.triangles[bad].tolist()} is degenerate "
+            f"(area {area[bad]:.3e})"
+        )
     k_local = (
         np.einsum("ti,tj->tij", bvec, bvec) + np.einsum("ti,tj->tij", cvec, cvec)
     ) / (4.0 * area)[:, None, None]
     m_local = area[:, None, None] * _MASS_TEMPLATE
 
-    q = 1.0 if data is None else data.q
     b = 1.0 if data is None else data.b
     return AssembledSystem(
         mesh=mesh,
-        K=_scatter(mesh, k_local),
-        M_H=_scatter(mesh, m_local),
+        K=_scatter(mesh, mesh.triangles, k_local),
+        M_H=_scatter(mesh, mesh.triangles, m_local),
         M_R=_gamma1_mass(mesh),
-        q_load=_gamma2_flux_load(mesh, q),
         b_load=b * _gamma1_unit_load(mesh),
-        alpha=None if data is None else data.alpha,
     )
 
 

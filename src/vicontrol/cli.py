@@ -79,27 +79,22 @@ class RunConfig:
     dump_mesh: bool = False
 
 
-_INT_KEYS = {"n", "max_iter", "opt_max_iter", "trials", "seed"}
-_FLOAT_KEYS = {"alpha", "b", "M", "tol", "opt_tol", "g_low", "g_high"}
-_BOOL_KEYS = {"cross_check", "dump_mesh"}
+# settable keys and the type each value is coerced to, from the defaults
 _SETTABLE = {
-    f.name for f in fields(RunConfig) if f.name not in ("command", "preset")
+    f.name: type(f.default) for f in fields(RunConfig) if f.name not in ("command", "preset")
 }
 
 
 def _coerce(key: str, raw: str):
+    kind = _SETTABLE[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if raw.lower() in ("1", "true", "yes", "on"):
                 return True
             if raw.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for key {key!r}") from None
 
@@ -209,18 +204,11 @@ def _validate(cfg: RunConfig):
         raise ConfigError(str(exc)) from None
 
 
-def _int_list(spec: str, key: str):
+def _number_list(spec: str, key: str, kind=float):
     try:
-        return [int(p) for p in spec.split(",") if p.strip()]
+        return [kind(p) for p in spec.split(",") if p.strip()]
     except ValueError:
-        raise ConfigError(f"bad integer list for {key}: {spec!r}") from None
-
-
-def _float_list(spec: str, key: str):
-    try:
-        return [float(p) for p in spec.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"bad number list for {key}: {spec!r}") from None
+        raise ConfigError(f"bad {kind.__name__} list for {key}: {spec!r}") from None
 
 
 def _problem_data(cfg: RunConfig, mesh=None) -> ProblemData:
@@ -276,10 +264,20 @@ def _write_rate_csv(path: Path, cfg: RunConfig, table: convergence.RateTable):
     _write(path, header, body)
 
 
-def cmd_state(cfg: RunConfig) -> int:
+def _mesh_setup(cfg: RunConfig):
+    """Mesh, problem data and assembled system of a mesh-bound command;
+    writes the mesh when ``dump_mesh`` is set."""
     mesh = build_unit_square(cfg.n, cfg.gamma1)
     data = _problem_data(cfg, mesh)
     sys_ = assemble(mesh, data)
+    if cfg.dump_mesh:
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
+        write_mesh(mesh, Path(cfg.out) / "mesh.txt")
+    return mesh, data, sys_
+
+
+def cmd_state(cfg: RunConfig) -> int:
+    mesh, data, sys_ = _mesh_setup(cfg)
     rep = solve_state(
         mesh, sys_, data, family=cfg.family, solver=cfg.solver, tol=cfg.tol,
         max_iter=cfg.max_iter or None, cross_check=cfg.cross_check,
@@ -297,15 +295,11 @@ def cmd_state(cfg: RunConfig) -> int:
         f"active_set_size: {rep.active_set.size}",
     ]
     _write(out / "report.txt", _header(cfg), report)
-    if cfg.dump_mesh:
-        write_mesh(mesh, out / "mesh.txt")
     return EXIT_OK
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
-    mesh = build_unit_square(cfg.n, cfg.gamma1)
-    data = _problem_data(cfg, mesh)
-    sys_ = assemble(mesh, data)
+    mesh, data, sys_ = _mesh_setup(cfg)
     rep = optimize(
         mesh, sys_, data, family=cfg.family, method=cfg.opt_method,
         tol=cfg.opt_tol, max_iter=cfg.opt_max_iter, solver=cfg.solver,
@@ -327,8 +321,6 @@ def cmd_optimize(cfg: RunConfig) -> int:
         f"g_norm_H: {_fmt(norm_H(sys_, rep.g_opt))}",
     ]
     _write(out / "report.txt", _header(cfg), report)
-    if cfg.dump_mesh:
-        write_mesh(mesh, out / "mesh.txt")
     return EXIT_OK
 
 
@@ -355,14 +347,10 @@ def _order_check(table: convergence.RateTable, floor: float, guard: float):
 
 def cmd_sweep_h(cfg: RunConfig) -> int:
     data = _problem_data(cfg)
-    levels = _int_list(cfg.levels, "levels")
+    levels = _number_list(cfg.levels, "levels", int)
     session = StudySession(data, cfg.gamma1, cfg.solver, cfg.tol)
-    state_tab = convergence.h_sweep_state(
-        data, cfg.alpha, levels, cfg.gamma1, cfg.solver, cfg.tol, session=session
-    )
-    cost_tab = convergence.h_sweep_cost(
-        data, cfg.alpha, levels, cfg.gamma1, cfg.solver, cfg.tol, session=session
-    )
+    state_tab = convergence.h_sweep_state(data, cfg.alpha, levels, session=session)
+    cost_tab = convergence.h_sweep_cost(data, cfg.alpha, levels, session=session)
     out = Path(cfg.out)
     _write_rate_csv(out / "rate_h_state.csv", cfg, state_tab)
     _write_rate_csv(out / "rate_h_cost.csv", cfg, cost_tab)
@@ -386,7 +374,7 @@ def cmd_sweep_h(cfg: RunConfig) -> int:
 
 def cmd_sweep_alpha(cfg: RunConfig) -> int:
     data = _problem_data(cfg)
-    alphas = _float_list(cfg.alphas, "alphas")
+    alphas = _number_list(cfg.alphas, "alphas")
     tables = convergence.alpha_sweep_state(
         data, cfg.n, alphas, cfg.gamma1, cfg.solver, cfg.tol
     )
@@ -404,9 +392,7 @@ def cmd_sweep_alpha(cfg: RunConfig) -> int:
                  "zero errors excluded from fit"]
     else:
         slope_ok = r_tab.fitted_order is not None and r_tab.fitted_order <= ALPHA_SLOPE_CEILING
-        floor = convergence.FIT_GUARD_FACTOR * cfg.tol
-        above = v_errs >= floor
-        v_ok = convergence.monotone_nonincreasing(v_errs[above])
+        v_ok = convergence.monotone_nonincreasing(v_errs[v_errs >= guard])
         lines = [
             f"trace slope vs (alpha-1): "
             f"{'n/a' if r_tab.fitted_order is None else f'{r_tab.fitted_order:.3f}'}",
@@ -424,8 +410,8 @@ def cmd_diagram(cfg: RunConfig) -> int:
     data = _problem_data(cfg)
     rep = convergence.diagram(
         data,
-        _int_list(cfg.diagram_levels, "diagram_levels"),
-        _float_list(cfg.diagram_alphas, "diagram_alphas"),
+        _number_list(cfg.diagram_levels, "diagram_levels", int),
+        _number_list(cfg.diagram_alphas, "diagram_alphas"),
         cfg.gamma1,
         opt_tol=cfg.opt_tol,
         opt_max_iter=cfg.opt_max_iter,
@@ -455,9 +441,7 @@ def cmd_diagram(cfg: RunConfig) -> int:
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:
-    mesh = build_unit_square(cfg.n, cfg.gamma1)
-    data = _problem_data(cfg, mesh)
-    sys_ = assemble(mesh, data)
+    mesh, data, sys_ = _mesh_setup(cfg)
     rep = check_open_problems(
         mesh, sys_, data, trials=cfg.trials, seed=cfg.seed, family=cfg.family,
         g_low=cfg.g_low, g_high=cfg.g_high, solver=cfg.solver,
@@ -489,7 +473,7 @@ def cmd_conjecture(cfg: RunConfig) -> int:
 
 
 def cmd_interp_check(cfg: RunConfig) -> int:
-    levels = _int_list(cfg.interp_levels, "interp_levels")
+    levels = _number_list(cfg.interp_levels, "interp_levels", int)
     tables = convergence.interp_rate_study(
         lambda x, y: x * x, lambda x, y: (2.0 * x, 0.0), levels, cfg.gamma1
     )

@@ -21,14 +21,7 @@ import numpy as np
 from .assembly import AssembledSystem, ProblemData, as_control_field, norm_H
 from .errors import InvalidParameterError, LineSearchError, NonConvergenceError
 from .mesh import Mesh, ScalarField
-from .vi_solver import (
-    ROBIN,
-    VIReport,
-    adjoint_lift,
-    build_vi_problem,
-    solve_active_set,
-    solve_psor,
-)
+from .vi_solver import ROBIN, VIReport, _solve, adjoint_lift, build_vi_problem
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -95,8 +88,18 @@ class ConjectureReport:
     witnesses: tuple
 
 
+def _cost_terms(m_h, m_cost: float, u: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """The terms 1/2 ||u||_H^2 and (M/2) ||g||_H^2 of J, M_H = m_h."""
+    return 0.5 * float(u @ (m_h @ u)), 0.5 * m_cost * float(g @ (m_h @ g))
+
+
 class _Evaluator:
-    """Shared machinery for repeated solves with varying control."""
+    """Shared machinery for repeated solves with varying control.
+
+    Every state is a ``with_load`` copy of the zero-control problem, so all
+    solves and adjoint lifts share one free-node reduction and its LU
+    factors.
+    """
 
     def __init__(self, mesh, sys, data, family, solver="active_set", tol=1e-11):
         self.mesh = mesh
@@ -106,29 +109,19 @@ class _Evaluator:
         self.solver = solver
         self.tol = tol
         self.base = build_vi_problem(mesh, sys, data=replace(data, g=0.0), family=family)
-        self.factor_cache: dict = {}
         self.warm: np.ndarray | None = None
 
     def state(self, gvals: np.ndarray) -> VIReport:
-        problem = replace(self.base, F=self.base.F + self.sys.M_H @ gvals)
-        if self.solver == "psor":
-            rep = solve_psor(problem, tol=self.tol, mesh=self.mesh)
-        else:
-            rep = solve_active_set(
-                problem,
-                tol=self.tol,
-                factor_cache=self.factor_cache,
-                initial_active=self.warm,
-                mesh=self.mesh,
-            )
+        problem = self.base.with_load(self.base.F + self.sys.M_H @ gvals)
+        rep = _solve(problem, self.solver, self.tol, mesh=self.mesh, initial_active=self.warm)
         self.warm = rep.active_set
         return rep
 
     def cost(self, gvals: np.ndarray) -> CostReport:
         rep = self.state(gvals)
-        u = rep.values()
-        state_term = 0.5 * float(u @ (self.sys.M_H @ u))
-        control_term = 0.5 * self.data.M_cost * float(gvals @ (self.sys.M_H @ gvals))
+        state_term, control_term = _cost_terms(
+            self.sys.M_H, self.data.M_cost, rep.values(), gvals
+        )
         return CostReport(
             value=state_term + control_term,
             state_term=state_term,
@@ -138,9 +131,7 @@ class _Evaluator:
 
     def gradient(self, gvals: np.ndarray, rep: VIReport) -> np.ndarray:
         """Frozen-contact-set H-Riesz gradient M g + adjoint lift of u."""
-        u = rep.values()
-        problem = replace(self.base, F=self.base.F + self.sys.M_H @ gvals)
-        w = adjoint_lift(problem, rep.active_set, self.sys.M_H @ u, self.factor_cache)
+        w = adjoint_lift(self.base, rep.active_set, self.sys.M_H @ rep.values())
         return self.data.M_cost * gvals + w
 
 
@@ -342,9 +333,9 @@ def check_open_problems(
         def sq(v):
             return float(v @ (m_h @ v))
 
-        j1 = 0.5 * sq(u1) + 0.5 * mcost * sq(g1)
-        j2 = 0.5 * sq(u2) + 0.5 * mcost * sq(g2)
-        j3 = 0.5 * sq(u4) + 0.5 * mcost * sq(g3)
+        j1 = sum(_cost_terms(m_h, mcost, u1, g1))
+        j2 = sum(_cost_terms(m_h, mcost, u2, g2))
+        j3 = sum(_cost_terms(m_h, mcost, u4, g3))
         gap = mu * j1 + (1.0 - mu) * j2 - j3
         quad = 0.5 * mcost * mu * (1.0 - mu) * sq(g2 - g1)
         state_quad = 0.5 * mu * (1.0 - mu) * sq(u2 - u1)

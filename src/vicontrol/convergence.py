@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import ProblemData, as_control_field, assemble, norm_H, norm_R, norm_V
-from .control import OptimizeReport, optimize
+from .control import OptimizeReport, _cost_terms, optimize
 from .errors import InsufficientDataError, InvalidParameterError
-from .mesh import Mesh, ScalarField, build_unit_square, interpolate, prolongate
+from .mesh import Mesh, ScalarField, _element_geometry, build_unit_square, interpolate, prolongate
 from .vi_solver import DIRICHLET_LIMIT, ROBIN, solve_state
 
 ZERO_NOTE = "zero errors excluded from fit"
@@ -80,9 +80,6 @@ class RateTable:
 
     def errors(self) -> np.ndarray:
         return np.array([r[1] for r in self.rows], dtype=float)
-
-    def parameters(self) -> np.ndarray:
-        return np.array([r[0] for r in self.rows], dtype=float)
 
 
 def fit_order(rows) -> float:
@@ -170,9 +167,7 @@ class StudySession:
         u = self.state(n, family, alpha).values
         mesh, sys = self.grid(n)
         g = as_control_field(mesh, self.data.g).values
-        return 0.5 * float(u @ (sys.M_H @ u)) + 0.5 * self.data.M_cost * float(
-            g @ (sys.M_H @ g)
-        )
+        return sum(_cost_terms(sys.M_H, self.data.M_cost, u, g))
 
 
 def _check_levels(levels):
@@ -202,8 +197,7 @@ def h_sweep_state(
     levels = _check_levels(levels)
     s = session or StudySession(data, gamma1, solver, tol)
     n_ref = 2 * levels[-1]
-    _, sys_ref = s.grid(n_ref)
-    mesh_ref = s.grid(n_ref)[0]
+    mesh_ref, sys_ref = s.grid(n_ref)
     u_ref = s.state(n_ref, ROBIN, alpha)
     rows = []
     for n in levels:
@@ -326,7 +320,6 @@ def diagram(
     opt_max_iter: int = 2000,
     solver="active_set",
     floor: float = MONOTONE_FLOOR,
-    cache: dict | None = None,
 ) -> DiagramReport:
     """Optimal-control lattice with its three convergence distances.
 
@@ -340,25 +333,15 @@ def diagram(
     if len(levels) < 2 or len(alphas) < 2:
         raise InvalidParameterError("diagram needs at least 2 levels and 2 alphas")
     n_ref = 4 * levels[-1]
-    grids: dict[int, tuple] = {}
-    results: dict = cache if cache is not None else {}
-
-    def grid(n):
-        if n not in grids:
-            mesh = build_unit_square(n, gamma1)
-            grids[n] = (mesh, assemble(mesh, data))
-        return grids[n]
+    grid = StudySession(data, gamma1, solver).grid
+    results: dict = {}
 
     def opt(n, alpha) -> OptimizeReport:
         key = (n, "inf" if alpha is None else float(alpha))
         if key not in results:
             mesh, sys = grid(n)
-            if alpha is None:
-                d = data
-                family = DIRICHLET_LIMIT
-            else:
-                d = replace(data, alpha=alpha)
-                family = ROBIN
+            d = data if alpha is None else replace(data, alpha=alpha)
+            family = DIRICHLET_LIMIT if alpha is None else ROBIN
             results[key] = optimize(
                 mesh, sys, d, family=family, method="proj_grad_adjoint",
                 tol=opt_tol, max_iter=opt_max_iter, solver=solver,
@@ -413,17 +396,13 @@ def diagram(
     )
 
 
-def _interp_errors(mesh: Mesh, sys, f, grad_f) -> tuple[float, float]:
+def _interp_errors(mesh: Mesh, f, grad_f) -> tuple[float, float]:
     """L2 and H1-seminorm errors of nodal interpolation via fixed quadrature."""
-    field = interpolate(mesh, f)
-    u = field.values
-    tri = mesh.triangles
-    p = mesh.nodes[tri]
+    u = interpolate(mesh, f).values
+    p = mesh.nodes[mesh.triangles]
     x, y = p[:, :, 0], p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
-    un = u[tri]
+    b, c, area = _element_geometry(mesh)
+    un = u[mesh.triangles]
     gx = np.sum(un * b, axis=1) / (2.0 * area)
     gy = np.sum(un * c, axis=1) / (2.0 * area)
     err_l2 = 0.0
@@ -451,8 +430,7 @@ def interp_rate_study(f, grad_f, levels, gamma1="bottom") -> dict[str, RateTable
     rows_h, rows_v = [], []
     for n in levels:
         mesh = build_unit_square(n, gamma1)
-        sys = assemble(mesh)
-        e_l2, e_h1 = _interp_errors(mesh, sys, f, grad_f)
+        e_l2, e_h1 = _interp_errors(mesh, f, grad_f)
         e_v = math.sqrt(e_l2 * e_l2 + e_h1 * e_h1)
         rows_h.append((mesh.h, e_l2, "H"))
         rows_v.append((mesh.h, e_v, "V"))

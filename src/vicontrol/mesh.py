@@ -283,17 +283,20 @@ def prolongate(field: ScalarField, fine: Mesh) -> ScalarField:
     return ScalarField(fine, np.where(s >= t, lower, upper))
 
 
-def signed_areas(mesh: Mesh) -> np.ndarray:
+def _element_geometry(mesh: Mesh):
+    """Per triangle: the P1 gradient coefficient vectors b and c (grad
+    phi_i = (b_i, c_i) / (2 area)) and the signed area."""
     p = mesh.nodes[mesh.triangles]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
+    x, y = p[:, :, 0], p[:, :, 1]
+    bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area = 0.5 * (x[:, 0] * bvec[:, 0] + x[:, 1] * bvec[:, 1] + x[:, 2] * bvec[:, 2])
+    return bvec, cvec, area
 
 
 def validate_mesh(mesh: Mesh) -> None:
     """Audit conformity and tagging invariants; raise MeshError on failure."""
-    areas = signed_areas(mesh)
+    areas = _element_geometry(mesh)[2]
     if np.any(areas <= _AREA_TOL):
         bad = int(np.argmax(areas <= _AREA_TOL))
         raise MeshError(f"triangle {bad} has non-positive area {areas[bad]:.3e}")

@@ -40,10 +40,3 @@ PRESETS: dict[str, dict[str, str]] = {
         "g": "box:-20:0.25:0.75:0.25:0.75",
     },
 }
-
-
-def preset_overrides(name: str) -> dict[str, str]:
-    try:
-        return dict(PRESETS[name])
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None

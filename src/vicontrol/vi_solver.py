@@ -13,11 +13,17 @@ provided (projected SOR and a primal-dual active-set method) plus a
 brute-force active-set enumeration oracle for small problems.  Dirichlet
 constraints are imposed by row/column elimination with symmetric load
 correction, which preserves symmetry for both algorithms.
+
+Each problem reduces itself to its free nodes once, on first use; the
+reduction owns the LU factors of the active-set and adjoint solves, keyed
+by active mask, and :meth:`VIProblem.with_load` shares it with the same
+VI under another load, so each contact set of one matrix is factored once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,7 +60,10 @@ FEASIBILITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class VIProblem:
-    """Obstacle problem data: matrix, load, lower bound, optional trace."""
+    """Obstacle problem data: matrix, load, lower bound, optional trace.
+
+    Do not change the arrays in place; the free-node reduction is memoized.
+    """
 
     A: sp.csr_matrix
     F: np.ndarray
@@ -73,6 +82,20 @@ class VIProblem:
     @property
     def size(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def _operator(self) -> _Operator:
+        return _Operator(self)
+
+    def with_load(self, F: np.ndarray) -> VIProblem:
+        """This VI with load F, sharing its free-node reduction and LU factors.
+
+        ``dataclasses.replace`` shares nothing, so a changed matrix, bound
+        or trace is reduced afresh.
+        """
+        other = replace(self, F=F)
+        other.__dict__["_operator"] = self._operator
+        return other
 
 
 @dataclass(frozen=True)
@@ -95,24 +118,52 @@ class VIReport:
         return self.solution
 
 
+class _Operator:
+    """Free-node reduction of a VI, shared by all its loads.
+
+    ``shift`` is the load of the eliminated trace, A[free][:, pinned] @
+    dirichlet_values; ``template`` is a full vector holding the pinned
+    values; ``factors`` maps active masks to LU factors of a_ff on the
+    inactive nodes.
+    """
+
+    def __init__(self, p: VIProblem):
+        a = p.A.tocsr()
+        self.free, self.a_ff, self.shift = np.arange(p.size), a, 0.0
+        self.template = np.zeros(p.size)
+        if p.dirichlet_nodes is not None and len(p.dirichlet_nodes):
+            self.free = np.setdiff1d(self.free, p.dirichlet_nodes)
+            a_free = a[self.free]
+            self.a_ff = a_free[:, self.free].tocsr()
+            self.shift = a_free[:, p.dirichlet_nodes] @ p.dirichlet_values
+            self.template[p.dirichlet_nodes] = p.dirichlet_values
+        self.lb_f = p.lower_bound[self.free]
+        self.diag = self.a_ff.diagonal()
+        self.bad_diagonal = bool(np.any(self.diag <= 0.0))
+        self.factors: dict[bytes, object] = {}
+
+    @cached_property
+    def colour_rows(self) -> list:
+        """Each PSOR colour class of a_ff with its rows."""
+        return [(c, self.a_ff[c]) for c in _colour_classes(self.a_ff)]
+
+    def factor(self, active: np.ndarray):
+        """LU of a_ff on the nodes outside ``active``, made once per mask."""
+        key = active.tobytes()
+        if key not in self.factors:
+            idx_i = np.flatnonzero(~active)
+            self.factors[key] = spla.splu(self.a_ff[idx_i][:, idx_i].tocsc())
+        return self.factors[key]
+
+
 def _free_split(p: VIProblem):
     """Free-node reduction with symmetric load correction for pinned rows."""
-    n = p.size
-    if p.dirichlet_nodes is None or len(p.dirichlet_nodes) == 0:
-        return np.arange(n), p.A.tocsr(), p.F.copy(), p.lower_bound.copy(), np.zeros(n)
-    pinned = np.zeros(n, dtype=bool)
-    pinned[p.dirichlet_nodes] = True
-    free = np.flatnonzero(~pinned)
-    full = np.zeros(n)
-    full[p.dirichlet_nodes] = p.dirichlet_values
-    a_csr = p.A.tocsr()
-    a_ff = a_csr[free][:, free]
-    f_f = p.F[free] - a_csr[free][:, p.dirichlet_nodes] @ p.dirichlet_values
-    return free, a_ff.tocsr(), f_f, p.lower_bound[free].copy(), full
+    op = p._operator
+    return op.free, op.a_ff, p.F[op.free] - op.shift, op.lb_f, op.template
 
 
-def _complementarity(a_ff, f_f, lb_f, u_f) -> float:
-    r = a_ff @ u_f - f_f
+def _complementarity(u_f, lb_f, r) -> float:
+    """Max-norm of min(u - l, r) over the free nodes, r = A u - F."""
     return float(np.max(np.abs(np.minimum(u_f - lb_f, r)))) if u_f.size else 0.0
 
 
@@ -171,21 +222,21 @@ def solve_psor(
         raise InvalidParameterError(f"omega must be in (0, 2), got {omega}")
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
-    free, a_ff, f_f, lb_f, full = _free_split(p)
-    diag = a_ff.diagonal()
-    if np.any(diag <= 0.0):
+    op = p._operator
+    if op.bad_diagonal:
         raise MatrixError("matrix has a non-positive diagonal entry on a free node")
+    free, a_ff, f_f, lb_f, full = _free_split(p)
     if u0 is None:
         u_f = np.maximum(lb_f, 0.0)
     else:
         u_f = np.maximum(np.asarray(u0, dtype=float)[free], lb_f)
-    blocks = [(c, a_ff[c], f_f[c], diag[c], lb_f[c]) for c in _colour_classes(a_ff)]
+    blocks = [(c, a_c, f_f[c], op.diag[c], lb_f[c]) for c, a_c in op.colour_rows]
     iters, res = 0, np.inf
     while iters < max_iter and res > tol:
         iters += 1
         for c, a_c, f_c, d_c, lb_c in blocks:
             u_f[c] = np.maximum(lb_c, u_f[c] + omega * ((f_c - a_c @ u_f) / d_c))
-        res = _complementarity(a_ff, f_f, lb_f, u_f)
+        res = _complementarity(u_f, lb_f, a_ff @ u_f - f_f)
     if res > tol:
         raise NonConvergenceError(
             f"projected SOR: residual {res:.3e} > tol {tol:.1e} after {iters} sweeps",
@@ -199,7 +250,6 @@ def solve_active_set(
     tol: float = DEFAULT_TOL,
     max_iter: int = ACTIVE_SET_MAX_ITER,
     initial_active: np.ndarray | None = None,
-    factor_cache: dict | None = None,
     mesh: Mesh | None = None,
 ) -> VIReport:
     """Primal-dual active-set method.
@@ -207,21 +257,22 @@ def solve_active_set(
     Guesses the contact set, solves the reduced linear system on the
     inactive nodes, and updates the set from the signs of the primal gap
     u - l and the dual variable A u - F.  Typically terminates finitely.
-    ``factor_cache`` maps active-set masks to LU factors so repeated solves
-    with the same matrix (e.g. during line searches) reuse factorizations.
+    The LU factor of each contact set is kept on the problem's free-node
+    reduction, so solves of problems made with :meth:`VIProblem.with_load`
+    (e.g. during line searches) and :func:`adjoint_lift` reuse it.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
-    free, a_ff, f_f, lb_f, full = _free_split(p)
-    if np.any(a_ff.diagonal() <= 0.0):
+    op = p._operator
+    if op.bad_diagonal:
         raise MatrixError("matrix has a non-positive diagonal entry on a free node")
+    free, a_ff, f_f, lb_f, full = _free_split(p)
     nf = free.size
     active = np.zeros(nf, dtype=bool)
     if initial_active is not None:
         lookup = np.zeros(p.size, dtype=bool)
         lookup[np.asarray(initial_active, dtype=np.int64)] = True
         active = lookup[free]
-    cache = factor_cache if factor_cache is not None else {}
     seen = set()
     u_f = np.zeros(nf)
     res = np.inf
@@ -235,17 +286,11 @@ def solve_active_set(
         idx_i = np.flatnonzero(~active)
         idx_a = np.flatnonzero(active)
         if idx_i.size:
-            lu = cache.get(key)
-            if lu is None:
-                lu = spla.splu(a_ff[idx_i][:, idx_i].tocsc())
-                cache[key] = lu
-            rhs = f_f[idx_i]
-            if idx_a.size:
-                rhs = rhs - a_ff[idx_i][:, idx_a] @ lb_f[idx_a]
-            u_f[idx_i] = lu.solve(rhs)
+            rhs = (f_f - a_ff @ np.where(active, lb_f, 0.0))[idx_i]
+            u_f[idx_i] = op.factor(active).solve(rhs)
         u_f[idx_a] = lb_f[idx_a]
         lam = a_ff @ u_f - f_f
-        res = _complementarity(a_ff, f_f, lb_f, u_f)
+        res = _complementarity(u_f, lb_f, lam)
         feasible = not idx_i.size or np.min(u_f[idx_i] - lb_f[idx_i]) >= -FEASIBILITY_TOL
         dual_ok = not idx_a.size or np.min(lam[idx_a]) >= -DUAL_TOL
         nxt = lam - (u_f - lb_f) > 0.0
@@ -298,36 +343,26 @@ def solve_enumerate(
         if margin > best_margin:
             best_margin = margin
             best_u = u.copy()
-    res = _complementarity(a_ff, f_f, lb_f, best_u)
+    res = _complementarity(best_u, lb_f, a_ff @ best_u - f_f)
     return _report(p, mesh, free, full, best_u, 1 << k, res)
 
 
-def adjoint_lift(
-    p: VIProblem,
-    active_nodes: np.ndarray,
-    rhs_full: np.ndarray,
-    factor_cache: dict | None = None,
-) -> np.ndarray:
+def adjoint_lift(p: VIProblem, active_nodes: np.ndarray, rhs_full: np.ndarray) -> np.ndarray:
     """Solve the reduced adjoint system with the contact set frozen.
 
     Returns w with w = 0 on active and pinned nodes and A_II w = rhs on the
     remaining (inactive free) nodes.  A is symmetric, so the factorization
-    cached by :func:`solve_active_set` for the same contact set is reused.
+    made by :func:`solve_active_set` for the same contact set, on p or on a
+    problem sharing its reduction, is reused.
     """
-    free, a_ff, _, _, _ = _free_split(p)
+    op = p._operator
     mask = np.zeros(p.size, dtype=bool)
     mask[np.asarray(active_nodes, dtype=np.int64)] = True
-    active = mask[free]
-    key = active.tobytes()
-    idx_i = np.flatnonzero(~active)
+    active = mask[op.free]
+    inactive = op.free[~active]
     w = np.zeros(p.size)
-    if idx_i.size:
-        cache = factor_cache if factor_cache is not None else {}
-        lu = cache.get(key)
-        if lu is None:
-            lu = spla.splu(a_ff[idx_i][:, idx_i].tocsc())
-            cache[key] = lu
-        w[free[idx_i]] = lu.solve(rhs_full[free[idx_i]])
+    if inactive.size:
+        w[inactive] = op.factor(active).solve(rhs_full[inactive])
     return w
 
 
@@ -357,6 +392,16 @@ def build_vi_problem(
     raise InvalidParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def _solve(p, solver, tol, max_iter=None, mesh=None, initial_active=None) -> VIReport:
+    """Solve p with the named algorithm; max_iter None takes its default."""
+    if solver == "psor":
+        return solve_psor(p, tol=tol, max_iter=max_iter or PSOR_MAX_ITER, mesh=mesh)
+    if solver == "active_set":
+        return solve_active_set(p, tol=tol, max_iter=max_iter or ACTIVE_SET_MAX_ITER,
+                                initial_active=initial_active, mesh=mesh)
+    raise InvalidParameterError(f"unknown solver {solver!r}")
+
+
 def solve_state(
     mesh: Mesh,
     sys: AssembledSystem,
@@ -366,8 +411,6 @@ def solve_state(
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
     cross_check: bool = False,
-    factor_cache: dict | None = None,
-    initial_active: np.ndarray | None = None,
 ) -> VIReport:
     """Solve the state system of the requested family.
 
@@ -375,29 +418,12 @@ def solve_state(
     10 * tol in the max-norm.
     """
     p = build_vi_problem(mesh, sys, data, family)
-    if solver == "psor":
-        rep = solve_psor(p, tol=tol, max_iter=max_iter or PSOR_MAX_ITER, mesh=mesh)
-        other = "active_set"
-    elif solver == "active_set":
-        rep = solve_active_set(
-            p,
-            tol=tol,
-            max_iter=max_iter or ACTIVE_SET_MAX_ITER,
-            factor_cache=factor_cache,
-            initial_active=initial_active,
-            mesh=mesh,
-        )
-        other = "psor"
-    else:
-        raise InvalidParameterError(f"unknown solver {solver!r}")
+    rep = _solve(p, solver, tol, max_iter, mesh)
     if cross_check:
         # the independent solver serves as a reference, so it runs tighter:
         # a residual at tol does not pin the solution to tol on fine meshes
-        check_tol = max(tol * 1e-2, 5e-15)
-        if other == "psor":
-            rep2 = solve_psor(p, tol=check_tol, mesh=mesh)
-        else:
-            rep2 = solve_active_set(p, tol=check_tol, mesh=mesh)
+        other = "active_set" if solver == "psor" else "psor"
+        rep2 = _solve(p, other, max(tol * 1e-2, 5e-15), mesh=mesh)
         gap = float(np.max(np.abs(rep.values() - rep2.values())))
         if gap > 10.0 * tol:
             raise CrossCheckError(

@@ -200,9 +200,9 @@ def test_per_side_flux():
     sys = assemble(m, data)
     f = load_vector(sys, data)
     # only top-side nodes receive flux; corners one half-edge, middle two
-    assert f[7] == pytest.approx(-2.0 * 0.5 - 0.0, abs=1e-15) or True
+    assert f[7] == -1.0
+    assert f[6] == f[8] == -0.5
     top = [6, 7, 8]
-    assert f[7] < 0 and f[6] < 0 and f[8] < 0
     assert all(f[i] == pytest.approx(data.alpha * sys.b_load[i], abs=1e-15)
                for i in range(9) if i not in top)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,6 +20,7 @@ from vicontrol.vi_solver import (
     VIProblem,
     _colour_classes,
     _free_split,
+    adjoint_lift,
     build_vi_problem,
     solve_active_set,
     solve_enumerate,
@@ -266,3 +269,51 @@ def test_psor_repeat_is_bit_identical():
     m, sys, data = contact_problem(n=16)
     p = build_vi_problem(m, sys, data, ROBIN)
     np.testing.assert_array_equal(solve_psor(p).values(), solve_psor(p).values())
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_with_load_reuses_the_lu_factor_of_each_contact_set(family):
+    m, sys, data = contact_problem(n=8)
+    p = build_vi_problem(m, sys, data, family)
+    rep = solve_active_set(p, mesh=m)
+    assert rep.active_set.size > 0
+    factors = p._operator.factors
+    made = len(factors)
+    q = p.with_load(1.001 * p.F)
+    again = solve_active_set(q, initial_active=rep.active_set, mesh=m)
+    np.testing.assert_array_equal(again.active_set, rep.active_set)
+    rhs = sys.M_H @ again.values()
+    w = adjoint_lift(q, again.active_set, rhs)
+    assert q._operator is p._operator
+    assert len(factors) == made
+    # the shared factors give the answers of a problem reduced afresh
+    fresh = replace(p, F=1.001 * p.F)
+    np.testing.assert_array_equal(solve_active_set(fresh, mesh=m).values(), again.values())
+    np.testing.assert_array_equal(adjoint_lift(fresh, again.active_set, rhs), w)
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_replace_reduces_a_changed_matrix_afresh(family):
+    m, sys, data = contact_problem(n=8)
+    p = build_vi_problem(m, sys, data, family)
+    before = solve_active_set(p).values()
+    q = replace(p, A=2.0 * p.A)
+    assert q._operator is not p._operator
+    built = VIProblem(
+        A=2.0 * p.A, F=p.F, lower_bound=p.lower_bound,
+        dirichlet_nodes=p.dirichlet_nodes, dirichlet_values=p.dirichlet_values,
+    )
+    after = solve_active_set(q).values()
+    np.testing.assert_array_equal(after, solve_active_set(built).values())
+    assert np.max(np.abs(after - before)) > 1e-3
+
+
+def test_with_load_free_split_matches_a_fresh_dirichlet_problem():
+    m, sys, data = contact_problem(n=8)
+    p = build_vi_problem(m, sys, replace(data, g=0.0), DIRICHLET_LIMIT)
+    fresh = build_vi_problem(m, sys, data, DIRICHLET_LIMIT)
+    free, _, f_f, lb_f, full = _free_split(p.with_load(fresh.F))
+    free2, _, f_f2, lb_f2, full2 = _free_split(fresh)
+    for a, b in ((free, free2), (f_f, f_f2), (lb_f, lb_f2), (full, full2)):
+        np.testing.assert_array_equal(a, b)
+    assert f_f.tobytes() == f_f2.tobytes()
