@@ -30,6 +30,7 @@ MAX_BACKTRACKS = 60
 DEFAULT_OPT_TOL = 1e-8
 NONNEG_GUARD = 1e-12
 CONJECTURE_TOL = 1e-9
+OPT_STATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,8 @@ class _Evaluator:
     """Shared machinery for repeated solves with varying control.
 
     Every state is a ``with_load`` copy of the zero-control problem, so all
-    solves and adjoint lifts share one free-node reduction and its LU
-    factors.
+    solves and adjoint lifts share one free-node reduction and its last LU
+    factor.
     """
 
     def __init__(self, mesh, sys, data, family, solver="active_set", tol=1e-11):
@@ -157,12 +158,11 @@ def optimize(
     method: str = "proj_grad_adjoint",
     tol: float = DEFAULT_OPT_TOL,
     max_iter: int = 500,
-    g0: ScalarField | None = None,
     solver: str = "active_set",
-    state_tol: float = 1e-12,
 ) -> OptimizeReport:
     """Minimize the cost over the nodal control space.
 
+    Starts from the zero control and solves each state to OPT_STATE_TOL.
     ``proj_grad_adjoint`` runs gradient descent with the frozen-set adjoint
     gradient and Armijo backtracking; it terminates when the H-norm of the
     gradient drops to tol.  ``coord_search`` is a derivative-free compass
@@ -172,8 +172,8 @@ def optimize(
     """
     if data.M_cost <= 0:
         raise InvalidParameterError("optimization requires M_cost > 0")
-    ev = _Evaluator(mesh, sys, data, family, solver=solver, tol=state_tol)
-    g = np.zeros(mesh.node_count) if g0 is None else g0.values.copy()
+    ev = _Evaluator(mesh, sys, data, family, solver=solver, tol=OPT_STATE_TOL)
+    g = np.zeros(mesh.node_count)
     if method == "proj_grad_adjoint":
         return _proj_grad(ev, g, tol, max_iter)
     if method == "coord_search":

@@ -121,9 +121,9 @@ def _make_table(parameter, rows, reference, guard: float = 0.0) -> RateTable:
     )
 
 
-def monotone_nonincreasing(values, slack: float = MONOTONE_FLOOR) -> bool:
+def monotone_nonincreasing(values) -> bool:
     v = list(values)
-    return all(v[i + 1] <= v[i] + slack for i in range(len(v) - 1))
+    return all(v[i + 1] <= v[i] + MONOTONE_FLOOR for i in range(len(v) - 1))
 
 
 def strictly_decreasing(values) -> bool:
@@ -192,7 +192,8 @@ def h_sweep_state(
 
     The reference is the solution on a one-more-refined mesh (twice the
     finest level); coarser solutions are prolonged exactly before taking
-    norms on the reference mesh.
+    norms on the reference mesh.  A given session supplies data, gamma1,
+    solver and tol.
     """
     levels = _check_levels(levels)
     s = session or StudySession(data, gamma1, solver, tol)
@@ -209,7 +210,7 @@ def h_sweep_state(
         "h", rows,
         f"surrogate_reference: robin state on n={n_ref} grid (one refinement "
         f"beyond the finest measured level)",
-        guard=FIT_GUARD_FACTOR * tol,
+        guard=FIT_GUARD_FACTOR * s.tol,
     )
 
 
@@ -222,7 +223,10 @@ def h_sweep_cost(
     tol: float = 1e-10,
     session: StudySession | None = None,
 ) -> RateTable:
-    """Cost gap |J_h(g) - J_ref(g)| under mesh refinement at fixed alpha."""
+    """Cost gap |J_h(g) - J_ref(g)| under mesh refinement at fixed alpha.
+
+    A given session supplies data, gamma1, solver and tol.
+    """
     levels = _check_levels(levels)
     s = session or StudySession(data, gamma1, solver, tol)
     n_ref = 2 * levels[-1]
@@ -234,7 +238,7 @@ def h_sweep_cost(
     return _make_table(
         "h", rows,
         f"surrogate_reference: cost at n={n_ref} grid",
-        guard=FIT_GUARD_FACTOR * tol,
+        guard=FIT_GUARD_FACTOR * s.tol,
     )
 
 
@@ -250,7 +254,8 @@ def alpha_sweep_state(
     """Distance to the Dirichlet-limit state as alpha grows, fixed mesh.
 
     Returns two tables keyed "R" (trace error on gamma1, fitted against
-    alpha - 1) and "V" (full V-norm error, for monotonicity checks).
+    alpha - 1) and "V" (full V-norm error, for monotonicity checks).  A
+    given session supplies data, gamma1, solver and tol.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 1.0 for a in alphas):
@@ -267,8 +272,8 @@ def alpha_sweep_state(
         rows_v.append((a - 1.0, norm_V(sys, diff), "V"))
     ref = f"dirichlet-limit state on the same n={n} grid"
     return {
-        "R": _make_table("alpha_minus_1", rows_r, ref, guard=FIT_GUARD_FACTOR * tol),
-        "V": _make_table("alpha_minus_1", rows_v, ref, guard=FIT_GUARD_FACTOR * tol),
+        "R": _make_table("alpha_minus_1", rows_r, ref, guard=FIT_GUARD_FACTOR * s.tol),
+        "V": _make_table("alpha_minus_1", rows_v, ref, guard=FIT_GUARD_FACTOR * s.tol),
     }
 
 
@@ -319,7 +324,6 @@ def diagram(
     opt_tol: float = 1e-7,
     opt_max_iter: int = 2000,
     solver="active_set",
-    floor: float = MONOTONE_FLOOR,
 ) -> DiagramReport:
     """Optimal-control lattice with its three convergence distances.
 
@@ -386,10 +390,10 @@ def diagram(
         d1_sequence=tuple(d1_seq),
         d2_sequence=tuple(d2_seq),
         d3_sequence=tuple(d3_seq),
-        d1_ok=monotone_nonincreasing(d1_seq, floor),
-        d2_ok=monotone_nonincreasing(d2_seq, floor),
+        d1_ok=monotone_nonincreasing(d1_seq),
+        d2_ok=monotone_nonincreasing(d2_seq),
         d3_ok=strictly_decreasing(d3_seq),
-        floor=floor,
+        floor=MONOTONE_FLOOR,
         reference=f"surrogate_reference: optimal controls on n={n_ref} grid "
                   f"(two refinements beyond the finest measured level); "
                   f"Dirichlet edge solved on each measured grid",

@@ -168,10 +168,6 @@ def _longest_edge(nodes, triangles) -> float:
     return float(max(d01.max(), d12.max(), d20.max()))
 
 
-def _edge_key(a, b):
-    return (a, b) if a < b else (b, a)
-
-
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every triangle into 4 congruent children via edge midpoints.
 
@@ -198,36 +194,27 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     children[2::4] = np.column_stack([m20, m12, c])
     children[3::4] = np.column_stack([m01, m12, m20])
 
-    edge_lookup = {(int(e[0]), int(e[1])): n_old + k for k, e in enumerate(edges)}
-
-    def split_tagged(tagged):
-        out = []
-        for a_, b_ in tagged:
-            mid = edge_lookup[_edge_key(int(a_), int(b_))]
-            out.append((min(a_, mid), max(a_, mid)))
-            out.append((min(mid, b_), max(mid, b_)))
-        return np.array(sorted(out), dtype=np.int64).reshape(-1, 2)
-
-    gamma1 = split_tagged(mesh.gamma1_edges)
-    gamma2 = split_tagged(mesh.gamma2_edges)
-
     # restore lexicographic (y, x) node order
     order = np.lexsort((nodes[:, 0], nodes[:, 1]))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     nodes = nodes[order]
     children = rank[children]
-    gamma1 = np.sort(rank[gamma1], axis=1)
-    gamma2 = np.sort(rank[gamma2], axis=1)
-    gamma1 = gamma1[np.lexsort((gamma1[:, 1], gamma1[:, 0]))]
-    if gamma2.size:
-        gamma2 = gamma2[np.lexsort((gamma2[:, 1], gamma2[:, 0]))]
+    keys = edges[:, 0] * n_old + edges[:, 1]  # ascending: edges are sorted rows
+
+    def split_tagged(tagged):
+        """Both halves of each tagged edge in the new node order, sorted."""
+        lo, hi = np.sort(tagged, axis=1).T
+        mid = n_old + np.searchsorted(keys, lo * n_old + hi)
+        halves = rank[np.vstack([np.column_stack([lo, mid]), np.column_stack([mid, hi])])]
+        halves = np.sort(halves, axis=1)
+        return halves[np.lexsort((halves[:, 1], halves[:, 0]))]
 
     return Mesh(
         nodes=nodes,
         triangles=children,
-        gamma1_edges=gamma1,
-        gamma2_edges=gamma2,
+        gamma1_edges=split_tagged(mesh.gamma1_edges),
+        gamma2_edges=split_tagged(mesh.gamma2_edges),
         h=_longest_edge(nodes, children),
         division_count=None if mesh.division_count is None else 2 * mesh.division_count,
     )

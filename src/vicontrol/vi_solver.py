@@ -14,10 +14,12 @@ brute-force active-set enumeration oracle for small problems.  Dirichlet
 constraints are imposed by row/column elimination with symmetric load
 correction, which preserves symmetry for both algorithms.
 
-Each problem reduces itself to its free nodes once, on first use; the
-reduction owns the LU factors of the active-set and adjoint solves, keyed
-by active mask, and :meth:`VIProblem.with_load` shares it with the same
-VI under another load, so each contact set of one matrix is factored once.
+Each problem reduces itself to its free nodes once, on first use, and
+:meth:`VIProblem.with_load` shares the reduction with the same VI under
+another load.  The reduction keeps only the last LU factor made by the
+active-set and adjoint solves: the solves that share a reduction (line
+searches, adjoint lifts) start from the contact set where the previous
+one ended, so that is the factor they reuse.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ DEFAULT_TOL = 1e-10
 PSOR_MAX_ITER = 100_000
 ACTIVE_SET_MAX_ITER = 100
 PSOR_OMEGA = 1.5
+ENUMERATE_MAX_FREE = 14
 DUAL_TOL = 1e-12
 FEASIBILITY_TOL = 1e-12
 
@@ -88,7 +91,7 @@ class VIProblem:
         return _Operator(self)
 
     def with_load(self, F: np.ndarray) -> VIProblem:
-        """This VI with load F, sharing its free-node reduction and LU factors.
+        """This VI with load F, sharing its free-node reduction and LU factor.
 
         ``dataclasses.replace`` shares nothing, so a changed matrix, bound
         or trace is reduced afresh.
@@ -123,8 +126,8 @@ class _Operator:
 
     ``shift`` is the load of the eliminated trace, A[free][:, pinned] @
     dirichlet_values; ``template`` is a full vector holding the pinned
-    values; ``factors`` maps active masks to LU factors of a_ff on the
-    inactive nodes.
+    values; ``lu`` is the LU factor of a_ff on the nodes outside the last
+    active mask factored, whose bytes are ``key``.
     """
 
     def __init__(self, p: VIProblem):
@@ -140,7 +143,7 @@ class _Operator:
         self.lb_f = p.lower_bound[self.free]
         self.diag = self.a_ff.diagonal()
         self.bad_diagonal = bool(np.any(self.diag <= 0.0))
-        self.factors: dict[bytes, object] = {}
+        self.key = self.lu = None
 
     @cached_property
     def colour_rows(self) -> list:
@@ -148,12 +151,18 @@ class _Operator:
         return [(c, self.a_ff[c]) for c in _colour_classes(self.a_ff)]
 
     def factor(self, active: np.ndarray):
-        """LU of a_ff on the nodes outside ``active``, made once per mask."""
+        """LU of a_ff on the nodes outside ``active``; only the last is kept.
+
+        The old factor is dropped before the next one is made, so one
+        operator never holds two.
+        """
         key = active.tobytes()
-        if key not in self.factors:
+        if key != self.key:
+            self.key = self.lu = None
             idx_i = np.flatnonzero(~active)
-            self.factors[key] = spla.splu(self.a_ff[idx_i][:, idx_i].tocsc())
-        return self.factors[key]
+            self.lu = spla.splu(self.a_ff[idx_i][:, idx_i].tocsc())
+            self.key = key
+        return self.lu
 
 
 def _free_split(p: VIProblem):
@@ -206,7 +215,6 @@ def solve_psor(
     p: VIProblem,
     tol: float = DEFAULT_TOL,
     max_iter: int = PSOR_MAX_ITER,
-    omega: float = PSOR_OMEGA,
     u0: np.ndarray | None = None,
     mesh: Mesh | None = None,
 ) -> VIReport:
@@ -215,11 +223,9 @@ def solve_psor(
     Sweeps the colour classes of the free-node matrix graph in order (see
     :func:`_colour_classes`); the rows of one class do not couple, so each
     class takes its Gauss-Seidel update at once.  The update is relaxed by
-    omega and projected onto the obstacle, so iterates stay feasible.
+    PSOR_OMEGA and projected onto the obstacle, so iterates stay feasible.
     Terminates when the complementarity residual drops below tol.
     """
-    if not (0.0 < omega < 2.0):
-        raise InvalidParameterError(f"omega must be in (0, 2), got {omega}")
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
     op = p._operator
@@ -235,7 +241,7 @@ def solve_psor(
     while iters < max_iter and res > tol:
         iters += 1
         for c, a_c, f_c, d_c, lb_c in blocks:
-            u_f[c] = np.maximum(lb_c, u_f[c] + omega * ((f_c - a_c @ u_f) / d_c))
+            u_f[c] = np.maximum(lb_c, u_f[c] + PSOR_OMEGA * ((f_c - a_c @ u_f) / d_c))
         res = _complementarity(u_f, lb_f, a_ff @ u_f - f_f)
     if res > tol:
         raise NonConvergenceError(
@@ -257,9 +263,10 @@ def solve_active_set(
     Guesses the contact set, solves the reduced linear system on the
     inactive nodes, and updates the set from the signs of the primal gap
     u - l and the dual variable A u - F.  Typically terminates finitely.
-    The LU factor of each contact set is kept on the problem's free-node
-    reduction, so solves of problems made with :meth:`VIProblem.with_load`
-    (e.g. during line searches) and :func:`adjoint_lift` reuse it.
+    The LU factor of the last contact set is kept on the problem's
+    free-node reduction, so a solve of a problem made with
+    :meth:`VIProblem.with_load` (e.g. during a line search) that starts
+    from that set, and :func:`adjoint_lift` on it, reuse it.
     """
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
@@ -306,22 +313,20 @@ def solve_active_set(
     )
 
 
-def solve_enumerate(
-    p: VIProblem,
-    mesh: Mesh | None = None,
-    max_free: int = 14,
-) -> VIReport:
+def solve_enumerate(p: VIProblem, mesh: Mesh | None = None) -> VIReport:
     """Brute-force oracle: try every active set, keep the feasible one.
 
     Enumerates all 2^k candidate contact sets over the k free nodes, solves
     each reduced dense system, and returns the candidate with the best
     primal/dual feasibility margin (the unique VI solution up to rounding).
-    Exponential; refuses more than ``max_free`` free nodes.
+    Exponential; refuses more than ENUMERATE_MAX_FREE free nodes.
     """
     free, a_ff, f_f, lb_f, full = _free_split(p)
     k = free.size
-    if k > max_free:
-        raise InvalidParameterError(f"{k} free nodes exceeds enumeration limit {max_free}")
+    if k > ENUMERATE_MAX_FREE:
+        raise InvalidParameterError(
+            f"{k} free nodes exceeds enumeration limit {ENUMERATE_MAX_FREE}"
+        )
     a = a_ff.toarray()
     best_margin = -np.inf
     best_u = None
@@ -351,9 +356,9 @@ def adjoint_lift(p: VIProblem, active_nodes: np.ndarray, rhs_full: np.ndarray) -
     """Solve the reduced adjoint system with the contact set frozen.
 
     Returns w with w = 0 on active and pinned nodes and A_II w = rhs on the
-    remaining (inactive free) nodes.  A is symmetric, so the factorization
-    made by :func:`solve_active_set` for the same contact set, on p or on a
-    problem sharing its reduction, is reused.
+    remaining (inactive free) nodes.  A is symmetric, so the last
+    factorization made by :func:`solve_active_set`, on p or on a problem
+    sharing its reduction, is reused when it is of the same contact set.
     """
     op = p._operator
     mask = np.zeros(p.size, dtype=bool)

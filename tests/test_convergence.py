@@ -144,3 +144,12 @@ def test_interp_orders_for_smooth_function():
                                [4, 8, 16, 32])
     assert abs(tables["H"].fitted_order - 2.0) <= 0.1
     assert abs(tables["V"].fitted_order - 1.0) <= 0.1
+
+
+def test_a_sweep_takes_its_fit_guard_from_the_given_session():
+    d = contact_data()
+    levels = [2, 4, 8, 16]
+    plain = h_sweep_state(d, 2.0, levels)
+    given = h_sweep_state(d, 2.0, levels, tol=1.0, session=StudySession(d))
+    assert plain.fitted_order is not None
+    assert (given.fitted_order, given.note) == (plain.fitted_order, plain.note)

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from vicontrol.convergence import fit_order
 from vicontrol.errors import EvaluationError, InvalidParameterError, MeshError
 from vicontrol.mesh import (
+    SIDES,
     Mesh,
     ScalarField,
     build_unit_square,
@@ -73,10 +76,15 @@ def test_refine_inherits_boundary_tags():
 
 
 def test_refine_matches_rebuild_on_dyadic_grid():
-    r = refine_uniform(build_unit_square(4))
-    b = build_unit_square(8)
-    np.testing.assert_array_equal(r.nodes, b.nodes)
-    assert r.division_count == 8
+    for k in range(1, len(SIDES) + 1):
+        for sides in itertools.combinations(SIDES, k):
+            r = refine_uniform(build_unit_square(4, sides))
+            b = build_unit_square(8, sides)
+            np.testing.assert_array_equal(r.nodes, b.nodes)
+            assert r.division_count == 8
+            for got, want in ((r.gamma1_edges, b.gamma1_edges),
+                              (r.gamma2_edges, b.gamma2_edges)):
+                assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
 
 
 def test_interpolation_reproduces_affine_functions():

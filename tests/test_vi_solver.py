@@ -1,10 +1,14 @@
+import gc
+import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from vicontrol import vi_solver
 from vicontrol.assembly import (
     ProblemData,
     assemble,
@@ -271,25 +275,63 @@ def test_psor_repeat_is_bit_identical():
     np.testing.assert_array_equal(solve_psor(p).values(), solve_psor(p).values())
 
 
+class _Factor:
+    """An LU factor that a weakref can follow."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+def _proxy_splu(monkeypatch, record):
+    """Route vi_solver's splu through a proxy that passes each factor to record."""
+    def splu(a):
+        factor = _Factor(spla.splu(a))
+        record(factor)
+        return factor
+
+    monkeypatch.setattr(vi_solver, "spla", SimpleNamespace(splu=splu))
+
+
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
-def test_with_load_reuses_the_lu_factor_of_each_contact_set(family):
+def test_with_load_reuses_the_last_lu_factor(family, monkeypatch):
+    made = []
+    _proxy_splu(monkeypatch, made.append)
     m, sys, data = contact_problem(n=8)
     p = build_vi_problem(m, sys, data, family)
     rep = solve_active_set(p, mesh=m)
     assert rep.active_set.size > 0
-    factors = p._operator.factors
-    made = len(factors)
+    count = len(made)
     q = p.with_load(1.001 * p.F)
     again = solve_active_set(q, initial_active=rep.active_set, mesh=m)
     np.testing.assert_array_equal(again.active_set, rep.active_set)
     rhs = sys.M_H @ again.values()
     w = adjoint_lift(q, again.active_set, rhs)
     assert q._operator is p._operator
-    assert len(factors) == made
-    # the shared factors give the answers of a problem reduced afresh
+    assert len(made) == count
+    # the shared factor gives the answers of a problem reduced afresh
     fresh = replace(p, F=1.001 * p.F)
     np.testing.assert_array_equal(solve_active_set(fresh, mesh=m).values(), again.values())
     np.testing.assert_array_equal(adjoint_lift(fresh, again.active_set, rhs), w)
+
+
+def test_an_operator_keeps_at_most_one_lu_factor(monkeypatch):
+    live, alive_at_make = weakref.WeakSet(), []
+
+    def record(factor):
+        alive_at_make.append(len(live))
+        live.add(factor)
+
+    _proxy_splu(monkeypatch, record)
+    m, sys, data = contact_problem(n=16, g=-20.0, q=1.0)
+    p = build_vi_problem(m, sys, data, DIRICHLET_LIMIT)
+    rep = solve_active_set(p, mesh=m)
+    assert rep.iterations > 2
+    assert alive_at_make == [0] * len(alive_at_make)  # the old one goes first
+    gc.collect()
+    assert len(live) <= 1
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
