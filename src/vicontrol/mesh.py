@@ -225,12 +225,13 @@ def interpolate(mesh: Mesh, f: Callable[[float, float], float]) -> ScalarField:
 
     Reproduces affine functions (and any member of the P1 space) exactly.
     """
-    values = np.empty(mesh.node_count)
-    for i, (x, y) in enumerate(mesh.nodes):
-        v = f(float(x), float(y))
-        if not np.isfinite(v):
-            raise EvaluationError(f"f({x}, {y}) = {v!r} at node {i} is not finite")
-        values[i] = v
+    nodes = mesh.nodes.tolist()
+    values = np.array([f(x, y) for x, y in nodes], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        x, y = nodes[i]
+        raise EvaluationError(f"f({x}, {y}) = {float(values[i])!r} at node {i} is not finite")
     return ScalarField(mesh, values)
 
 

@@ -129,6 +129,19 @@ def test_interpolation_rejects_non_finite_values():
         interpolate(m, lambda x, y: np.inf if x > 0.4 else 0.0)
 
 
+def test_interpolation_names_the_one_non_finite_node():
+    m = build_unit_square(8)
+    bad = 4 * 9 + 3  # interior node (3/8, 4/8)
+
+    def f(x, y):
+        return np.nan if (x, y) == (3 / 8, 4 / 8) else x * y
+
+    with pytest.raises(EvaluationError, match=f"f\\(0.375, 0.5\\) = nan at node {bad} is not"):
+        interpolate(m, f)
+    g = lambda x, y: np.sin(7 * x) * np.exp(y)
+    assert interpolate(m, g).values.tobytes() == interpolate(m, g).values.tobytes()
+
+
 def test_field_length_mismatch_rejected():
     m = build_unit_square(2)
     with pytest.raises(InvalidParameterError):

@@ -17,13 +17,14 @@ from vicontrol.assembly import (
     norm_V,
 )
 from vicontrol.errors import InvalidParameterError, MatrixError, NonConvergenceError
-from vicontrol.mesh import ScalarField, build_unit_square
+from vicontrol.mesh import ScalarField, build_unit_square, prolongate
 from vicontrol.vi_solver import (
     DIRICHLET_LIMIT,
     ROBIN,
     VIProblem,
     _colour_classes,
     _free_split,
+    _prolongation,
     adjoint_lift,
     build_vi_problem,
     solve_active_set,
@@ -359,3 +360,60 @@ def test_with_load_free_split_matches_a_fresh_dirichlet_problem():
     for a, b in ((free, free2), (f_f, f_f2), (lb_f, lb_f2), (full, full2)):
         np.testing.assert_array_equal(a, b)
     assert f_f.tobytes() == f_f2.tobytes()
+
+
+@pytest.mark.parametrize("nc", [1, 2, 3, 8])
+def test_prolongation_matrix_is_prolongate(nc):
+    u = np.random.default_rng(nc).standard_normal((nc + 1) ** 2)
+    fine = prolongate(ScalarField(build_unit_square(nc), u), build_unit_square(2 * nc))
+    assert (_prolongation(nc) @ u).tobytes() == fine.values.tobytes()
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_nested_start_gives_the_cold_answer_in_few_iterations(family):
+    m, sys, data = contact_problem(n=64)
+    cold = solve_active_set(build_vi_problem(m, sys, data, family), mesh=m)
+    rep = solve_state(m, sys, data, family)
+    assert cold.iterations > 5 >= rep.iterations
+    assert rep.values().tobytes() == cold.values().tobytes()
+
+
+def test_a_failed_coarse_solve_starts_the_fine_solve_cold(monkeypatch):
+    m, sys, data = contact_problem(n=32)
+    fine_size = m.node_count
+    solve = vi_solver.solve_active_set
+
+    def failing_on_coarse(p, *args, **kwargs):
+        if p.size < fine_size:
+            raise NonConvergenceError("coarse", residual=1.0)
+        return solve(p, *args, **kwargs)
+
+    cold = solve_active_set(build_vi_problem(m, sys, data, DIRICHLET_LIMIT), mesh=m)
+    monkeypatch.setattr(vi_solver, "solve_active_set", failing_on_coarse)
+    rep = solve_state(m, sys, data, DIRICHLET_LIMIT)
+    assert rep.iterations == cold.iterations
+    assert rep.values().tobytes() == cold.values().tobytes()
+
+
+@pytest.mark.parametrize("n, division_count", [(33, 33), (32, None)])
+def test_no_nested_start_without_an_even_division_count(n, division_count):
+    m, sys, data = contact_problem(n=n)
+    cold = solve_active_set(build_vi_problem(m, sys, data, DIRICHLET_LIMIT), mesh=m)
+    m = replace(m, division_count=division_count)
+    rep = solve_state(m, sys, data, DIRICHLET_LIMIT)
+    assert rep.iterations == cold.iterations > 5
+
+
+def test_nested_start_frees_each_coarse_factor_before_the_next(monkeypatch):
+    live, alive_at_make, sizes = weakref.WeakSet(), [], []
+
+    def record(factor):
+        alive_at_make.append(len(live))
+        sizes.append(factor.lu.shape[0])
+        live.add(factor)
+
+    _proxy_splu(monkeypatch, record)
+    m, sys, data = contact_problem(n=32)
+    solve_state(m, sys, data, DIRICHLET_LIMIT)
+    assert min(sizes) < 17 ** 2 < max(sizes)  # both levels factored
+    assert alive_at_make == [0] * len(alive_at_make)
