@@ -31,7 +31,7 @@ from .errors import (
     LineSearchError,
     NonConvergenceError,
 )
-from .mesh import ScalarField, build_unit_square, write_mesh
+from .mesh import ScalarField, build_unit_square, format_rows, write_mesh
 from .presets import PRESETS, box_control
 from .vi_solver import solve_state
 
@@ -283,9 +283,7 @@ def cmd_state(cfg: RunConfig) -> int:
         max_iter=cfg.max_iter or None, cross_check=cfg.cross_check,
     )
     out = Path(cfg.out)
-    body = ["x,y,u"]
-    for (x, y), u in zip(mesh.nodes, rep.values()):
-        body.append(f"{_fmt(x)},{_fmt(y)},{_fmt(u)}")
+    body = ["x,y,u", *format_rows("%.17g,%.17g,%.17g", mesh.nodes, rep.values())]
     _write(out / "state.csv", _header(cfg), body)
     report = [
         f"family: {cfg.family}",
@@ -305,9 +303,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
         tol=cfg.opt_tol, max_iter=cfg.opt_max_iter, solver=cfg.solver,
     )
     out = Path(cfg.out)
-    body = ["x,y,g"]
-    for (x, y), g in zip(mesh.nodes, rep.g_opt.values):
-        body.append(f"{_fmt(x)},{_fmt(y)},{_fmt(g)}")
+    body = ["x,y,g", *format_rows("%.17g,%.17g,%.17g", mesh.nodes, rep.g_opt.values)]
     _write(out / "g_opt.csv", _header(cfg), body)
     hist = ["iter,J"]
     for k, j in enumerate(rep.history):

@@ -316,16 +316,18 @@ def write_mesh(mesh: Mesh, path) -> None:
     One header line ``nodes <N> triangles <T>``, node coordinate lines,
     triangle index lines, then the ``gamma1`` and ``gamma2`` edge lists.
     """
-    lines = [f"nodes {mesh.node_count} triangles {mesh.triangle_count}"]
-    for x, y in mesh.nodes:
-        lines.append(f"{x:.17g} {y:.17g}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
-    lines.append("gamma1")
-    for a, b in mesh.gamma1_edges:
-        lines.append(f"{a} {b}")
-    lines.append("gamma2")
-    for a, b in mesh.gamma2_edges:
-        lines.append(f"{a} {b}")
+    lines = [
+        f"nodes {mesh.node_count} triangles {mesh.triangle_count}",
+        *format_rows("%.17g %.17g", mesh.nodes),
+        *format_rows("%d %d %d", mesh.triangles),
+        "gamma1", *format_rows("%d %d", mesh.gamma1_edges),
+        "gamma2", *format_rows("%d %d", mesh.gamma2_edges),
+    ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def format_rows(fmt: str, *columns: np.ndarray) -> list[str]:
+    """``fmt % row`` for each row of the columns stacked side by side; the
+    rows go through ``tolist``, so ``%.17g`` prints a float round-trip."""
+    return [fmt % tuple(row) for row in np.column_stack(columns).tolist()]

@@ -21,9 +21,11 @@ active-set and adjoint solves: the solves that share a reduction (line
 searches, adjoint lifts) start from the contact set where the previous
 one ended, so that is the factor they reuse.
 
-Active-set solves on even-n structured meshes start from the contact set
-of the Galerkin coarse VI (P^T A P, P^T F) on the n/2 grid, prolonged: the
-answer is the cold start's, reached in fewer fine-level iterations.
+Active-set solves on even-n structured meshes start from the Galerkin
+coarse VI (P^T A P, P^T F) on the n/2 grid: its solution is prolonged,
+smoothed by a few damped projected-Jacobi sweeps, and the contact set is
+read off with the active-set update rule.  The answer is the cold start's,
+reached in fewer fine-level iterations.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ ACTIVE_SET_MAX_ITER = 100
 PSOR_OMEGA = 1.5
 ENUMERATE_MAX_FREE = 14
 NESTED_MIN = 8
+SMOOTH_SWEEPS = 20
+JACOBI_OMEGA = 2.0 / 3.0
 DUAL_TOL = 1e-12
 FEASIBILITY_TOL = 1e-12
 
@@ -415,10 +419,12 @@ def _prolongation(nc: int) -> sp.csr_matrix:
 
 
 def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | None:
-    """Contact set of p prolonged from its Galerkin VI on the n/2 grid, itself
-    seeded so; None (cold start) if n is None, odd or < 2 NESTED_MIN, or on
-    a coarse NonConvergenceError."""
-    if n is None or n % 2 or n // 2 < NESTED_MIN:
+    """Contact set of p from its Galerkin VI on the n/2 grid, itself seeded
+    so: the coarse solution is prolonged, smoothed by SMOOTH_SWEEPS damped
+    projected-Jacobi sweeps, and the active-set update rule is read off it.
+    None (cold start) if n is None, odd or < 2 NESTED_MIN, if p has a
+    non-positive free diagonal entry, or on a coarse NonConvergenceError."""
+    if n is None or n % 2 or n // 2 < NESTED_MIN or p._operator.bad_diagonal:
         return None
     nc = n // 2
     P = _prolongation(nc)
@@ -434,7 +440,12 @@ def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | Non
         u_c = solve_active_set(pc, tol=tol, initial_active=_coarse_contact(pc, nc, tol))
     except NonConvergenceError:
         return None
-    return np.flatnonzero(P @ u_c.values() <= p.lower_bound)
+    free, a_ff, f_f, lb_f, _ = _free_split(p)
+    diag = p._operator.diag
+    u_f = np.maximum(lb_f, (P @ u_c.values())[free])
+    for _ in range(SMOOTH_SWEEPS):
+        u_f = np.maximum(lb_f, u_f + JACOBI_OMEGA * (f_f - a_ff @ u_f) / diag)
+    return free[a_ff @ u_f - f_f > u_f - lb_f]
 
 
 def _solve(p, solver, tol, max_iter=None, mesh=None, initial_active=None) -> VIReport:
@@ -464,7 +475,8 @@ def solve_state(
 
     With ``cross_check=True`` both algorithms run and must agree to
     10 * tol in the max-norm.  Active-set solves on an even-n structured
-    mesh start from the prolonged coarse contact set (see :func:`_solve`).
+    mesh start from the contact set of the smoothed, prolonged coarse
+    solution (see :func:`_coarse_contact`).
     """
     p = build_vi_problem(mesh, sys, data, family)
     rep = _solve(p, solver, tol, max_iter, mesh)

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ from vicontrol.assembly import (
 )
 from vicontrol.errors import InvalidParameterError, MatrixError, NonConvergenceError
 from vicontrol.mesh import ScalarField, build_unit_square, prolongate
+from vicontrol.presets import box_control
 from vicontrol.vi_solver import (
     DIRICHLET_LIMIT,
     ROBIN,
@@ -376,6 +378,28 @@ def test_nested_start_gives_the_cold_answer_in_few_iterations(family):
     rep = solve_state(m, sys, data, family)
     assert cold.iterations > 5 >= rep.iterations
     assert rep.values().tobytes() == cold.values().tobytes()
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_smoothed_nested_start_needs_at_most_two_fine_iterations(family):
+    # the contact-v1 box control; unsmoothed prolonged sets take 3-4 here
+    m, sys, data = contact_problem(n=64, g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
+    cold = solve_active_set(build_vi_problem(m, sys, data, family), mesh=m)
+    rep = solve_state(m, sys, data, family)
+    assert rep.iterations <= 2
+    assert rep.values().tobytes() == cold.values().tobytes()
+
+
+def test_nested_start_never_sweeps_a_non_positive_diagonal():
+    m, sys, data = contact_problem(n=16)
+    p = build_vi_problem(m, sys, data, ROBIN)
+    a = p.A.tolil()
+    a[18, 18] = 0.0  # node (1, 1) of the 16 grid is on no coarse node
+    p = replace(p, A=a.tocsr())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MatrixError):
+            vi_solver._solve(p, "active_set", 1e-10, mesh=m)
 
 
 def test_a_failed_coarse_solve_starts_the_fine_solve_cold(monkeypatch):
