@@ -93,17 +93,14 @@ def as_control_field(mesh: Mesh, g: ControlSpec) -> ScalarField:
     return constant_field(mesh, float(g))
 
 
-def _symmetrized(coo: sp.coo_matrix) -> sp.csr_matrix:
-    a = coo.tocsr()
-    return ((a + a.T) * 0.5).tocsr()
-
-
 def _scatter(mesh: Mesh, cells: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
-    """Sum the local matrices of the cells (triangles or edges) into a global one."""
+    """Sum the local matrices of the cells (triangles or edges) into a global
+    one, symmetrized to (A + A^T) / 2."""
     rows = np.broadcast_to(cells[:, :, None], local.shape).ravel()
     cols = np.broadcast_to(cells[:, None, :], local.shape).ravel()
     n = mesh.node_count
-    return _symmetrized(sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)))
+    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return ((a + a.T) * 0.5).tocsr()
 
 
 def _edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:

@@ -26,14 +26,15 @@ from .convergence import StudySession
 from .errors import (
     ConfigError,
     CrossCheckError,
+    EvaluationError,
     InsufficientDataError,
     InvalidParameterError,
     LineSearchError,
     NonConvergenceError,
 )
-from .mesh import ScalarField, build_unit_square, format_rows, write_mesh
+from .mesh import SIDES, ScalarField, build_unit_square, format_rows, write_mesh
 from .presets import PRESETS, box_control
-from .vi_solver import solve_state
+from .vi_solver import FAMILIES, SOLVERS, solve_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -158,6 +159,8 @@ def _parse_g(spec: str):
             vals = np.loadtxt(path, dtype=float, ndmin=1)
         except OSError:
             raise ConfigError(f"cannot read control file {path!r}") from None
+        except ValueError:
+            raise ConfigError(f"control file {path!r} holds non-numeric values") from None
         return ("file", vals)
     try:
         return float(spec)
@@ -172,7 +175,7 @@ def _parse_q(spec: str):
         for part in spec.split(","):
             side, _, raw = part.partition("=")
             side = side.strip()
-            if side not in ("bottom", "right", "top", "left"):
+            if side not in SIDES:
                 raise ConfigError(f"unknown side {side!r} in flux spec {spec!r}")
             try:
                 out[side] = float(raw)
@@ -188,12 +191,12 @@ def _parse_q(spec: str):
 def _validate(cfg: RunConfig):
     if cfg.n < 1:
         raise ConfigError(f"n must be >= 1, got {cfg.n}")
-    if cfg.family not in ("robin", "dirichlet_limit"):
+    if cfg.family not in FAMILIES:
         raise ConfigError(f"unknown family {cfg.family!r}")
-    if cfg.solver not in ("active_set", "psor"):
+    if cfg.solver not in SOLVERS:
         raise ConfigError(f"unknown solver {cfg.solver!r}")
-    if cfg.tol <= 0 or cfg.opt_tol <= 0:
-        raise ConfigError("tolerances must be positive")
+    if not (0.0 < cfg.tol < np.inf and 0.0 < cfg.opt_tol < np.inf):
+        raise ConfigError("tolerances must be positive and finite")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
     _parse_g(cfg.g)
@@ -251,17 +254,19 @@ def _header(cfg: RunConfig, extra: list[str] | None = None) -> list[str]:
     return lines
 
 
-def _write(path: Path, header: list[str], body: list[str]):
+def _write(cfg: RunConfig, name: str, body: list[str], extra: list[str] | None = None):
+    """Write the output file ``name`` of the run: its header, then body."""
+    path = Path(cfg.out) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(header + body) + "\n")
+    path.write_text("\n".join(_header(cfg, extra) + body) + "\n")
 
 
-def _write_rate_csv(path: Path, cfg: RunConfig, table: convergence.RateTable):
-    header = _header(cfg, [f"reference: {table.reference}"] + ([table.note] if table.note else []))
+def _write_rate_csv(cfg: RunConfig, name: str, table: convergence.RateTable):
     body = ["param,value,error,norm"]
     for value, error, tag in table.rows:
         body.append(f"{table.parameter},{_fmt(value)},{_fmt(error)},{tag}")
-    _write(path, header, body)
+    notes = [table.note] if table.note else []
+    _write(cfg, name, body, [f"reference: {table.reference}", *notes])
 
 
 def _mesh_setup(cfg: RunConfig):
@@ -282,9 +287,8 @@ def cmd_state(cfg: RunConfig) -> int:
         mesh, sys_, data, family=cfg.family, solver=cfg.solver, tol=cfg.tol,
         max_iter=cfg.max_iter or None, cross_check=cfg.cross_check,
     )
-    out = Path(cfg.out)
     body = ["x,y,u", *format_rows("%.17g,%.17g,%.17g", mesh.nodes, rep.values())]
-    _write(out / "state.csv", _header(cfg), body)
+    _write(cfg, "state.csv", body)
     report = [
         f"family: {cfg.family}",
         f"solver: {cfg.solver}",
@@ -292,7 +296,7 @@ def cmd_state(cfg: RunConfig) -> int:
         f"residual: {_fmt(rep.residual)}",
         f"active_set_size: {rep.active_set.size}",
     ]
-    _write(out / "report.txt", _header(cfg), report)
+    _write(cfg, "report.txt", report)
     return EXIT_OK
 
 
@@ -302,13 +306,12 @@ def cmd_optimize(cfg: RunConfig) -> int:
         mesh, sys_, data, family=cfg.family, method=cfg.opt_method,
         tol=cfg.opt_tol, max_iter=cfg.opt_max_iter, solver=cfg.solver,
     )
-    out = Path(cfg.out)
     body = ["x,y,g", *format_rows("%.17g,%.17g,%.17g", mesh.nodes, rep.g_opt.values)]
-    _write(out / "g_opt.csv", _header(cfg), body)
+    _write(cfg, "g_opt.csv", body)
     hist = ["iter,J"]
     for k, j in enumerate(rep.history):
         hist.append(f"{k},{_fmt(j)}")
-    _write(out / "history.csv", _header(cfg), hist)
+    _write(cfg, "history.csv", hist)
     report = [
         f"method: {rep.method}",
         f"J_opt: {_fmt(rep.J_opt)}",
@@ -316,25 +319,24 @@ def cmd_optimize(cfg: RunConfig) -> int:
         f"gradient_norm_final: {_fmt(rep.gradient_norm_final)}",
         f"g_norm_H: {_fmt(norm_H(sys_, rep.g_opt))}",
     ]
-    _write(out / "report.txt", _header(cfg), report)
+    _write(cfg, "report.txt", report)
     return EXIT_OK
 
 
-def _sweep_summary(path: Path, cfg: RunConfig, lines: list[str], checks: list[tuple[str, bool]]):
+def _sweep_summary(cfg: RunConfig, lines: list[str], checks: list[tuple[str, bool]]) -> int:
+    """Write summary.txt, lines and a PASS/FAIL line per check; 4 if any fails."""
     body = list(lines)
     for name, ok in checks:
         body.append(f"{name}: {'PASS' if ok else 'FAIL'}")
-    _write(path, _header(cfg), body)
+    _write(cfg, "summary.txt", body)
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_CHECK_FAILED
 
 
-def _order_check(table: convergence.RateTable, floor: float, guard: float):
-    """Pass when the fitted order clears the floor.
-
-    Tables whose errors all sit at or below the solver-tolerance guard are
-    zero-level (nothing to fit) and pass.
-    """
-    errs = table.errors()
-    if bool(np.all((errs == 0.0) | (errs < guard))):
+def _order_check(table: convergence.RateTable, floor: float, zero_level: bool):
+    """Pass when the fitted order clears the floor.  Zero-level tables, whose
+    errors all sit below the solver-tolerance guard, have nothing to fit and
+    pass."""
+    if zero_level:
         return True, "all errors at the solver-tolerance floor"
     if table.fitted_order is None:
         return False, table.note
@@ -347,25 +349,24 @@ def cmd_sweep_h(cfg: RunConfig) -> int:
     session = StudySession(data, cfg.gamma1, cfg.solver, cfg.tol)
     state_tab = convergence.h_sweep_state(data, cfg.alpha, levels, session=session)
     cost_tab = convergence.h_sweep_cost(data, cfg.alpha, levels, session=session)
-    out = Path(cfg.out)
-    _write_rate_csv(out / "rate_h_state.csv", cfg, state_tab)
-    _write_rate_csv(out / "rate_h_cost.csv", cfg, cost_tab)
+    _write_rate_csv(cfg, "rate_h_state.csv", state_tab)
+    _write_rate_csv(cfg, "rate_h_cost.csv", cost_tab)
 
     guard = convergence.FIT_GUARD_FACTOR * cfg.tol
     checks = []
     lines = []
     for name, tab in (("state", state_tab), ("cost", cost_tab)):
-        ok_order, detail = _order_check(tab, ORDER_FLOOR, guard)
         errs = tab.errors()
-        decreasing = bool(np.all(errs < guard)) or convergence.strictly_decreasing(errs)
+        zero = bool(np.all(errs < guard))
+        ok_order, detail = _order_check(tab, ORDER_FLOOR, zero)
+        decreasing = zero or convergence.strictly_decreasing(errs)
         lines.append(f"{name} errors: {', '.join(_fmt(e) for e in errs)}")
         lines.append(f"{name} fit: {detail}")
         if tab.note:
             lines.append(f"{name} note: {tab.note}")
         checks.append((f"{name} order >= {ORDER_FLOOR}", ok_order))
         checks.append((f"{name} errors strictly decreasing", decreasing))
-    _sweep_summary(out / "summary.txt", cfg, lines, checks)
-    return EXIT_OK if all(ok for _, ok in checks) else EXIT_CHECK_FAILED
+    return _sweep_summary(cfg, lines, checks)
 
 
 def cmd_sweep_alpha(cfg: RunConfig) -> int:
@@ -374,9 +375,8 @@ def cmd_sweep_alpha(cfg: RunConfig) -> int:
     tables = convergence.alpha_sweep_state(
         data, cfg.n, alphas, cfg.gamma1, cfg.solver, cfg.tol
     )
-    out = Path(cfg.out)
-    _write_rate_csv(out / "rate_alpha_trace.csv", cfg, tables["R"])
-    _write_rate_csv(out / "rate_alpha_v.csv", cfg, tables["V"])
+    _write_rate_csv(cfg, "rate_alpha_trace.csv", tables["R"])
+    _write_rate_csv(cfg, "rate_alpha_v.csv", tables["V"])
 
     r_tab, v_tab = tables["R"], tables["V"]
     r_errs, v_errs = r_tab.errors(), v_tab.errors()
@@ -398,8 +398,7 @@ def cmd_sweep_alpha(cfg: RunConfig) -> int:
             (f"trace slope <= {ALPHA_SLOPE_CEILING}", slope_ok),
             ("V errors monotone non-increasing above tolerance floor", v_ok),
         ]
-    _sweep_summary(out / "summary.txt", cfg, lines, checks)
-    return EXIT_OK if all(ok for _, ok in checks) else EXIT_CHECK_FAILED
+    return _sweep_summary(cfg, lines, checks)
 
 
 def cmd_diagram(cfg: RunConfig) -> int:
@@ -413,14 +412,13 @@ def cmd_diagram(cfg: RunConfig) -> int:
         opt_max_iter=cfg.opt_max_iter,
         solver=cfg.solver,
     )
-    out = Path(cfg.out)
     body = ["h,alpha,J_opt,g_norm,d1,d2,d3"]
     for row in rep.rows:
         body.append(
             f"{_fmt(row.h)},{_fmt(row.alpha)},{_fmt(row.J_opt)},{_fmt(row.g_norm)},"
             f"{_fmt(row.d1)},{_fmt(row.d2)},{_fmt(row.d3)}"
         )
-    _write(out / "diagram.csv", _header(cfg, [rep.reference]), body)
+    _write(cfg, "diagram.csv", body, [rep.reference])
     lines = [
         f"d1 (h -> 0 at largest alpha): {', '.join(_fmt(d) for d in rep.d1_sequence)}",
         f"d2 (alpha -> inf at finest mesh): {', '.join(_fmt(d) for d in rep.d2_sequence)}",
@@ -432,8 +430,7 @@ def cmd_diagram(cfg: RunConfig) -> int:
         ("d2 monotone decreasing", rep.d2_ok),
         ("d3 strictly decreasing", rep.d3_ok),
     ]
-    _sweep_summary(out / "summary.txt", cfg, lines, checks)
-    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+    return _sweep_summary(cfg, lines, checks)
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:
@@ -442,20 +439,19 @@ def cmd_conjecture(cfg: RunConfig) -> int:
         mesh, sys_, data, trials=cfg.trials, seed=cfg.seed, family=cfg.family,
         g_low=cfg.g_low, g_high=cfg.g_high, solver=cfg.solver,
     )
-    out = Path(cfg.out)
     body = ["trial,mu,min_margin_pointwise,h_norm_margin,convexity_gap"]
     for t in rep.trials:
         body.append(
             f"{t.trial},{_fmt(t.mu)},{_fmt(t.min_margin_pointwise)},"
             f"{_fmt(t.h_norm_margin)},{_fmt(t.convexity_gap)}"
         )
-    _write(out / "conjecture.csv", _header(cfg), body)
+    _write(cfg, "conjecture.csv", body)
 
     wit = ["trial,kind,mu,node,g1,g2"]
     for w in rep.witnesses:
         for i, (a, b) in enumerate(zip(w["g1"], w["g2"])):
             wit.append(f"{w['trial']},{w['kind']},{_fmt(w['mu'])},{i},{_fmt(a)},{_fmt(b)}")
-    _write(out / "witnesses.csv", _header(cfg), wit)
+    _write(cfg, "witnesses.csv", wit)
 
     lines = [
         f"trials: {cfg.trials}",
@@ -464,7 +460,7 @@ def cmd_conjecture(cfg: RunConfig) -> int:
         f"convexity_violations: {rep.convexity_violations}",
         "violations of the open inequalities are findings, not failures",
     ]
-    _write(out / "summary.txt", _header(cfg), lines)
+    _write(cfg, "summary.txt", lines)
     return EXIT_OK
 
 
@@ -473,9 +469,8 @@ def cmd_interp_check(cfg: RunConfig) -> int:
     tables = convergence.interp_rate_study(
         lambda x, y: x * x, lambda x, y: (2.0 * x, 0.0), levels, cfg.gamma1
     )
-    out = Path(cfg.out)
-    _write_rate_csv(out / "interp_l2.csv", cfg, tables["H"])
-    _write_rate_csv(out / "interp_v.csv", cfg, tables["V"])
+    _write_rate_csv(cfg, "interp_l2.csv", tables["H"])
+    _write_rate_csv(cfg, "interp_v.csv", tables["V"])
     o_h, o_v = tables["H"].fitted_order, tables["V"].fitted_order
     checks = [
         (f"L2 order within {INTERP_TOL} of 2", o_h is not None and abs(o_h - 2.0) <= INTERP_TOL),
@@ -485,8 +480,7 @@ def cmd_interp_check(cfg: RunConfig) -> int:
         f"L2 order: {'n/a' if o_h is None else f'{o_h:.3f}'}",
         f"H1 order: {'n/a' if o_v is None else f'{o_v:.3f}'}",
     ]
-    _sweep_summary(out / "summary.txt", cfg, lines, checks)
-    return EXIT_OK if all(ok for _, ok in checks) else EXIT_CHECK_FAILED
+    return _sweep_summary(cfg, lines, checks)
 
 
 _COMMANDS = {
@@ -528,7 +522,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[cfg.command](cfg)
-    except (ConfigError, InvalidParameterError, InsufficientDataError) as exc:
+    except (ConfigError, EvaluationError, InvalidParameterError, InsufficientDataError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonConvergenceError, LineSearchError, CrossCheckError) as exc:

@@ -274,15 +274,17 @@ def convex_combination_states(
     if not (0.0 <= mu <= 1.0):
         raise InvalidParameterError(f"mu must lie in [0, 1], got {mu}")
     ev = _Evaluator(mesh, sys, data, family, solver=solver, tol=tol)
-    v1 = as_control_field(mesh, g1).values
-    v2 = as_control_field(mesh, g2).values
-    u1 = ev.state(v1).values()
-    u2 = ev.state(v2).values()
-    u4 = ev.state(mu * v1 + (1.0 - mu) * v2).values()
-    return {
-        "u3": ScalarField(mesh, mu * u1 + (1.0 - mu) * u2),
-        "u4": ScalarField(mesh, u4),
-    }
+    v1, v2 = (as_control_field(mesh, g).values for g in (g1, g2))
+    _, u1, u2, u3, u4 = _combination_states(ev, v1, v2, mu)
+    return {"u3": ScalarField(mesh, u3), "u4": ScalarField(mesh, u4)}
+
+
+def _combination_states(ev: _Evaluator, g1, g2, mu: float):
+    """g3 = mu g1 + (1 - mu) g2, the states u1, u2 of g1, g2, their
+    combination u3 = mu u1 + (1 - mu) u2, and the state u4 of g3."""
+    g3 = mu * g1 + (1.0 - mu) * g2
+    u1, u2, u4 = (ev.state(g).values() for g in (g1, g2, g3))
+    return g3, u1, u2, mu * u1 + (1.0 - mu) * u2, u4
 
 
 def check_open_problems(
@@ -314,21 +316,16 @@ def check_open_problems(
     mcost = data.M_cost
     rows = []
     witnesses = []
-    n_pw = n_h = n_cx = 0
     for k in range(trials):
         g1 = rng.uniform(g_low, g_high, mesh.node_count)
         g2 = rng.uniform(g_low, g_high, mesh.node_count)
         mu = float(rng.uniform(0.0, 1.0))
-        g3 = mu * g1 + (1.0 - mu) * g2
-        u1 = ev.state(g1).values()
-        u2 = ev.state(g2).values()
-        u4 = ev.state(g3).values()
+        g3, u1, u2, u3, u4 = _combination_states(ev, g1, g2, mu)
         if float(np.min(u4)) < -NONNEG_GUARD:
             raise NonConvergenceError(
                 f"state of the combined control dips below the obstacle at trial {k}",
                 residual=float(np.min(u4)),
             )
-        u3 = mu * u1 + (1.0 - mu) * u2
 
         def sq(v):
             return float(v @ (m_h @ v))
@@ -346,19 +343,16 @@ def check_open_problems(
         rows.append(
             ConjectureTrial(k, mu, min_margin, h_margin, gap, identity_residual)
         )
-        if min_margin < -CONJECTURE_TOL:
-            n_pw += 1
-            witnesses.append({"trial": k, "kind": "pointwise", "mu": mu, "g1": g1, "g2": g2})
-        if h_margin < -CONJECTURE_TOL:
-            n_h += 1
-            witnesses.append({"trial": k, "kind": "h_norm", "mu": mu, "g1": g1, "g2": g2})
-        if gap < quad - CONJECTURE_TOL:
-            n_cx += 1
-            witnesses.append({"trial": k, "kind": "convexity", "mu": mu, "g1": g1, "g2": g2})
+        for kind, violated in (("pointwise", min_margin < -CONJECTURE_TOL),
+                               ("h_norm", h_margin < -CONJECTURE_TOL),
+                               ("convexity", gap < quad - CONJECTURE_TOL)):
+            if violated:
+                witnesses.append({"trial": k, "kind": kind, "mu": mu, "g1": g1, "g2": g2})
+    kinds = [w["kind"] for w in witnesses]
     return ConjectureReport(
         trials=tuple(rows),
-        pointwise_violations=n_pw,
-        h_norm_violations=n_h,
-        convexity_violations=n_cx,
+        pointwise_violations=kinds.count("pointwise"),
+        h_norm_violations=kinds.count("h_norm"),
+        convexity_violations=kinds.count("convexity"),
         witnesses=tuple(witnesses),
     )

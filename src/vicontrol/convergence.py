@@ -74,7 +74,7 @@ class RateTable:
         diffs = np.diff(values)
         if len(values) >= 2 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise InvalidParameterError("parameter values must be strictly monotone")
-        errs = np.array([r[1] for r in self.rows], dtype=float)
+        errs = self.errors()
         if errs.size and (not np.all(np.isfinite(errs)) or np.any(errs < 0)):
             raise InvalidParameterError("errors must be finite and nonnegative")
 
@@ -179,6 +179,17 @@ def _check_levels(levels):
     return levels
 
 
+def _h_sweep(data, levels, gamma1, solver, tol, session, tag, reference, measure):
+    """Rows (h, error, tag) over the levels; ``measure(s, n_ref)`` takes the
+    reference on the n_ref = 2 * finest grid and returns the error of a level."""
+    levels = _check_levels(levels)
+    s = session or StudySession(data, gamma1, solver, tol)
+    n_ref = 2 * levels[-1]
+    error = measure(s, n_ref)
+    rows = [(s.grid(n)[0].h, error(n), tag) for n in levels]
+    return _make_table("h", rows, reference.format(n_ref), guard=FIT_GUARD_FACTOR * s.tol)
+
+
 def h_sweep_state(
     data: ProblemData,
     alpha: float,
@@ -195,23 +206,16 @@ def h_sweep_state(
     norms on the reference mesh.  A given session supplies data, gamma1,
     solver and tol.
     """
-    levels = _check_levels(levels)
-    s = session or StudySession(data, gamma1, solver, tol)
-    n_ref = 2 * levels[-1]
-    mesh_ref, sys_ref = s.grid(n_ref)
-    u_ref = s.state(n_ref, ROBIN, alpha)
-    rows = []
-    for n in levels:
-        u = s.state(n, ROBIN, alpha)
-        diff = prolongate(u, mesh_ref).values - u_ref.values
-        err = norm_V(sys_ref, diff)
-        rows.append((s.grid(n)[0].h, err, "V"))
-    return _make_table(
-        "h", rows,
-        f"surrogate_reference: robin state on n={n_ref} grid (one refinement "
-        f"beyond the finest measured level)",
-        guard=FIT_GUARD_FACTOR * s.tol,
-    )
+
+    def measure(s, n_ref):
+        mesh_ref, sys_ref = s.grid(n_ref)
+        u_ref = s.state(n_ref, ROBIN, alpha).values
+        return lambda n: norm_V(
+            sys_ref, prolongate(s.state(n, ROBIN, alpha), mesh_ref).values - u_ref)
+
+    return _h_sweep(data, levels, gamma1, solver, tol, session, "V",
+                    "surrogate_reference: robin state on n={} grid (one refinement "
+                    "beyond the finest measured level)", measure)
 
 
 def h_sweep_cost(
@@ -227,19 +231,13 @@ def h_sweep_cost(
 
     A given session supplies data, gamma1, solver and tol.
     """
-    levels = _check_levels(levels)
-    s = session or StudySession(data, gamma1, solver, tol)
-    n_ref = 2 * levels[-1]
-    j_ref = s.cost_value(n_ref, ROBIN, alpha)
-    rows = []
-    for n in levels:
-        err = abs(s.cost_value(n, ROBIN, alpha) - j_ref)
-        rows.append((s.grid(n)[0].h, err, "J"))
-    return _make_table(
-        "h", rows,
-        f"surrogate_reference: cost at n={n_ref} grid",
-        guard=FIT_GUARD_FACTOR * s.tol,
-    )
+
+    def measure(s, n_ref):
+        j_ref = s.cost_value(n_ref, ROBIN, alpha)
+        return lambda n: abs(s.cost_value(n, ROBIN, alpha) - j_ref)
+
+    return _h_sweep(data, levels, gamma1, solver, tol, session, "J",
+                    "surrogate_reference: cost at n={} grid", measure)
 
 
 def alpha_sweep_state(

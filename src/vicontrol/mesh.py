@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import EvaluationError, InvalidParameterError, MeshError
 
@@ -168,6 +169,14 @@ def _longest_edge(nodes, triangles) -> float:
     return float(max(d01.max(), d12.max(), d20.max()))
 
 
+def _unique_edges(tri):
+    """The sorted distinct edges of the triangles, for each of the 3T edges
+    (all first sides, then second, then third) the index of its edge, and
+    how many triangles share each edge."""
+    pairs = np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    return np.unique(pairs, axis=0, return_inverse=True, return_counts=True)
+
+
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every triangle into 4 congruent children via edge midpoints.
 
@@ -175,9 +184,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     the refined mesh is again lexicographic by (y, x).
     """
     tri = mesh.triangles
-    pairs = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    pairs = np.sort(pairs, axis=1)
-    edges, edge_of = np.unique(pairs, axis=0, return_inverse=True)
+    edges, edge_of, _ = _unique_edges(tri)
     n_old = mesh.node_count
 
     midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
@@ -246,29 +253,38 @@ def prolongate(field: ScalarField, fine: Mesh) -> ScalarField:
     the coarse piecewise-linear function.  Requires both meshes to be
     structured unit-square meshes with fine n a multiple of coarse n.
     """
-    coarse = field.mesh
-    nc, nf = coarse.division_count, fine.division_count
+    nc, nf = field.mesh.division_count, fine.division_count
     if nc is None or nf is None:
         raise InvalidParameterError("prolongation requires structured meshes")
     if nf % nc != 0 or nf < nc:
         raise InvalidParameterError(
             f"fine divisions {nf} must be a multiple of coarse divisions {nc}"
         )
-    u = field.values
-    sx = fine.nodes[:, 0] * nc
-    sy = fine.nodes[:, 1] * nc
-    ix = np.minimum(np.floor(sx).astype(np.int64), nc - 1)
-    iy = np.minimum(np.floor(sy).astype(np.int64), nc - 1)
-    s = sx - ix
-    t = sy - iy
-    m = nc + 1
-    u00 = u[iy * m + ix]
-    u10 = u[iy * m + ix + 1]
-    u01 = u[(iy + 1) * m + ix]
-    u11 = u[(iy + 1) * m + ix + 1]
-    lower = u00 * (1.0 - s) + u10 * (s - t) + u11 * t
-    upper = u00 * (1.0 - t) + u11 * s + u01 * (t - s)
-    return ScalarField(fine, np.where(s >= t, lower, upper))
+    return ScalarField(fine, _prolongation(nc, nf // nc) @ field.values)
+
+
+def _prolongation(nc: int, ratio: int = 2) -> sp.csr_matrix:
+    """P1 prolongation matrix from the nc to the ratio * nc grid.
+
+    Fine node i at (s, t) in its coarse cell takes u00 (1 - s) + u10 (s - t)
+    + u11 t if s >= t, else u00 (1 - t) + u11 s + u01 (t - s).  Row i keeps
+    the nonzero terms in that order, so ``P @ u`` rounds as the sum does.
+    Top and right side nodes lie in the cells beyond, with zero off-grid weights.
+    """
+    nf, m = ratio * nc, nc + 1
+    c = np.arange(nf + 1) / nf * nc  # coarse coordinate of each fine grid line
+    i = np.floor(c).astype(np.int64)
+    s, t = np.tile(c - i, nf + 1), np.repeat(c - i, nf + 1)
+    base = np.repeat(i * m, nf + 1) + np.tile(i, nf + 1)
+    lower = s >= t
+    lo, gap = np.minimum(s, t), np.abs(s - t)  # t and s - t if lower, else s and t - s
+    w = np.column_stack([1.0 - np.maximum(s, t), np.where(lower, gap, lo),
+                         np.where(lower, lo, gap)])
+    cols = np.column_stack([base, base + np.where(lower, 1, m + 1),
+                            base + np.where(lower, m + 1, m)])
+    nz = np.flatnonzero(w)  # row by row, each row in term order
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(nz // 3, minlength=base.size))])
+    return sp.csr_matrix((w.ravel()[nz], cols.ravel()[nz], indptr), shape=(base.size, m * m))
 
 
 def _element_geometry(mesh: Mesh):
@@ -289,10 +305,7 @@ def validate_mesh(mesh: Mesh) -> None:
         bad = int(np.argmax(areas <= _AREA_TOL))
         raise MeshError(f"triangle {bad} has non-positive area {areas[bad]:.3e}")
 
-    tri = mesh.triangles
-    pairs = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    pairs = np.sort(pairs, axis=1)
-    edges, counts = np.unique(pairs, axis=0, return_counts=True)
+    edges, _, counts = _unique_edges(mesh.triangles)
     if np.any(counts > 2):
         raise MeshError("an edge is shared by more than two triangles")
     boundary = {tuple(e) for e in edges[counts == 1]}

@@ -42,6 +42,7 @@ from .assembly import (
     AssembledSystem,
     ProblemData,
     _gamma2_flux_load,
+    _values,
     as_control_field,
     load_vector,
     robin_matrix,
@@ -52,7 +53,7 @@ from .errors import (
     MatrixError,
     NonConvergenceError,
 )
-from .mesh import Mesh, ScalarField
+from .mesh import Mesh, ScalarField, _prolongation
 
 ROBIN = "robin"
 DIRICHLET_LIMIT = "dirichlet_limit"
@@ -126,9 +127,7 @@ class VIReport:
     active_set: np.ndarray
 
     def values(self) -> np.ndarray:
-        if isinstance(self.solution, ScalarField):
-            return self.solution.values
-        return self.solution
+        return _values(self.solution)
 
 
 class _Operator:
@@ -160,6 +159,12 @@ class _Operator:
         """Each PSOR colour class of a_ff with its rows."""
         return [(c, self.a_ff[c]) for c in _colour_classes(self.a_ff)]
 
+    def free_mask(self, nodes) -> np.ndarray:
+        """Which free nodes lie in the node set ``nodes`` (full indices)."""
+        mask = np.zeros(self.template.size, dtype=bool)
+        mask[np.asarray(nodes, dtype=np.int64)] = True
+        return mask[self.free]
+
     def factor(self, active: np.ndarray):
         """LU of a_ff on the nodes outside ``active``; only the last is kept.
 
@@ -173,6 +178,16 @@ class _Operator:
             self.lu = spla.splu(self.a_ff[idx_i][:, idx_i].tocsc())
             self.key = key
         return self.lu
+
+
+def _checked_operator(p: VIProblem, tol: float) -> _Operator:
+    """p's free-node reduction, once tol and the free diagonal pass the
+    checks every iterative solve makes."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
+    if p._operator.bad_diagonal:
+        raise MatrixError("matrix has a non-positive diagonal entry on a free node")
+    return p._operator
 
 
 def _free_split(p: VIProblem):
@@ -236,11 +251,7 @@ def solve_psor(
     PSOR_OMEGA and projected onto the obstacle, so iterates stay feasible.
     Terminates when the complementarity residual drops below tol.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    op = p._operator
-    if op.bad_diagonal:
-        raise MatrixError("matrix has a non-positive diagonal entry on a free node")
+    op = _checked_operator(p, tol)
     free, a_ff, f_f, lb_f, full = _free_split(p)
     if u0 is None:
         u_f = np.maximum(lb_f, 0.0)
@@ -278,20 +289,11 @@ def solve_active_set(
     :meth:`VIProblem.with_load` (e.g. during a line search) that starts
     from that set, and :func:`adjoint_lift` on it, reuse it.
     """
-    if tol <= 0:
-        raise InvalidParameterError("tol must be positive")
-    op = p._operator
-    if op.bad_diagonal:
-        raise MatrixError("matrix has a non-positive diagonal entry on a free node")
+    op = _checked_operator(p, tol)
     free, a_ff, f_f, lb_f, full = _free_split(p)
-    nf = free.size
-    active = np.zeros(nf, dtype=bool)
-    if initial_active is not None:
-        lookup = np.zeros(p.size, dtype=bool)
-        lookup[np.asarray(initial_active, dtype=np.int64)] = True
-        active = lookup[free]
+    active = op.free_mask([] if initial_active is None else initial_active)
     seen = set()
-    u_f = np.zeros(nf)
+    u_f = np.zeros(free.size)
     res = np.inf
     for it in range(1, max_iter + 1):
         key = active.tobytes()
@@ -371,9 +373,7 @@ def adjoint_lift(p: VIProblem, active_nodes: np.ndarray, rhs_full: np.ndarray) -
     sharing its reduction, is reused when it is of the same contact set.
     """
     op = p._operator
-    mask = np.zeros(p.size, dtype=bool)
-    mask[np.asarray(active_nodes, dtype=np.int64)] = True
-    active = mask[op.free]
+    active = op.free_mask(active_nodes)
     inactive = op.free[~active]
     w = np.zeros(p.size)
     if inactive.size:
@@ -407,17 +407,6 @@ def build_vi_problem(
     raise InvalidParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def _prolongation(nc: int) -> sp.csr_matrix:
-    """P1 prolongation from the nc to the 2 nc grid: each fine node is the mean of
-    its lower-left coarse node and the other end of the coarse edge it halves."""
-    nf, m = 2 * nc, nc + 1
-    fy, fx = np.divmod(np.arange((nf + 1) ** 2), nf + 1)
-    base = (fy // 2) * m + fx // 2
-    cols = np.concatenate([base, base + fx % 2 + (fy % 2) * m])
-    rows = np.tile(np.arange(fx.size), 2)
-    return sp.csr_matrix((np.full(cols.size, 0.5), (rows, cols)), shape=(fx.size, m * m))
-
-
 def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | None:
     """Contact set of p from its Galerkin VI on the n/2 grid, itself seeded
     so: the coarse solution is prolonged, smoothed by SMOOTH_SWEEPS damped
@@ -448,6 +437,9 @@ def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | Non
     return free[a_ff @ u_f - f_f > u_f - lb_f]
 
 
+SOLVERS = ("active_set", "psor")
+
+
 def _solve(p, solver, tol, max_iter=None, mesh=None, initial_active=None) -> VIReport:
     """Solve p with the named algorithm; max_iter None takes its default.  An
     active-set solve on a mesh, given no initial_active, starts nested."""
@@ -458,7 +450,7 @@ def _solve(p, solver, tol, max_iter=None, mesh=None, initial_active=None) -> VIR
             initial_active = _coarse_contact(p, mesh.division_count, tol)
         return solve_active_set(p, tol=tol, max_iter=max_iter or ACTIVE_SET_MAX_ITER,
                                 initial_active=initial_active, mesh=mesh)
-    raise InvalidParameterError(f"unknown solver {solver!r}")
+    raise InvalidParameterError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
 
 
 def solve_state(

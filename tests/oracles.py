@@ -212,3 +212,27 @@ def cost_oracle(mesh, g_values, q_const, b_const, alpha, m_cost,
     cand = contact_candidates(A, F, lb, dn, dv)
     u = enumerate_vi_dense(A, F, lb, dn, dv, candidates=cand)
     return 0.5 * float(u @ M @ u) + 0.5 * m_cost * float(g_values @ M @ g_values), u
+
+
+def prolongate_barycentric(u, nc, fine_nodes):
+    """P1 prolongation by the per-triangle barycentric formula.
+
+    Each fine node is located in its coarse cell at (s, t), the last cell
+    of a row or column taking the nodes on the top and right sides, and
+    evaluates u00 (1 - s) + u10 (s - t) + u11 t on the lower triangle
+    (s >= t) or u00 (1 - t) + u11 s + u01 (t - s) on the upper one.
+    """
+    sx = fine_nodes[:, 0] * nc
+    sy = fine_nodes[:, 1] * nc
+    ix = np.minimum(np.floor(sx).astype(np.int64), nc - 1)
+    iy = np.minimum(np.floor(sy).astype(np.int64), nc - 1)
+    s = sx - ix
+    t = sy - iy
+    m = nc + 1
+    u00 = u[iy * m + ix]
+    u10 = u[iy * m + ix + 1]
+    u01 = u[(iy + 1) * m + ix]
+    u11 = u[(iy + 1) * m + ix + 1]
+    lower = u00 * (1.0 - s) + u10 * (s - t) + u11 * t
+    upper = u00 * (1.0 - t) + u11 * s + u01 * (t - s)
+    return np.where(s >= t, lower, upper)

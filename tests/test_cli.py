@@ -200,3 +200,23 @@ def test_headers_record_hash_and_preset(tmp_path):
     assert head[1].startswith("# config-hash: ")
     assert head[2] == "# preset: contact-v1"
     assert "control-space" in head[3]
+
+
+@pytest.mark.parametrize("setting", ["tol=nan", "tol=inf", "opt_tol=nan", "opt_tol=inf"])
+def test_a_non_finite_tolerance_exits_2(tmp_path, setting):
+    out = tmp_path / "run"
+    code = main(["state", "--preset", "contact-v1", "--set", "n=8", "--set", "solver=psor",
+                 "--set", setting, "--out", str(out)])
+    assert code == 2
+    assert not (out / "state.csv").exists()
+
+
+@pytest.mark.parametrize("g", ["file:{text}", "file:{nans}", "nan", "box:nan:0:1:0:1"])
+def test_bad_control_input_exits_2(tmp_path, capsys, g):
+    text, nans = tmp_path / "text.txt", tmp_path / "nans.txt"
+    text.write_text("one\ntwo\n")
+    nans.write_text("nan\n" * 9)  # one value per node of the n=2 mesh
+    code = main(["state", "--preset", "constant-v1", "--set", "n=2",
+                 "--set", "g=" + g.format(text=text, nans=nans), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")

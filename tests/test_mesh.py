@@ -18,7 +18,7 @@ from vicontrol.mesh import (
     write_mesh,
 )
 
-from oracles import h1_seminorm_error, l2_error
+from oracles import h1_seminorm_error, l2_error, prolongate_barycentric
 
 
 def test_two_triangle_square_counts():
@@ -160,6 +160,19 @@ def test_prolongation_is_exact_on_nested_grids():
     for i, (x, y) in enumerate(coarse.nodes):
         j = np.flatnonzero((fine.nodes[:, 0] == x) & (fine.nodes[:, 1] == y))[0]
         assert lifted.values[j] == g.values[i]
+
+
+@pytest.mark.parametrize("nc", [1, 2, 3, 4, 8])
+def test_prolongation_matches_the_barycentric_formula_bit_for_bit(nc):
+    # P @ u must add each row's terms in the formula's order: a P whose rows
+    # are sorted by column rounds differently once a row has three terms
+    rng = np.random.default_rng(nc)
+    coarse = build_unit_square(nc)
+    for ratio in (2, 3, 4, 8, 16):
+        u = rng.standard_normal(coarse.node_count)
+        fine = build_unit_square(ratio * nc)
+        got = prolongate(ScalarField(coarse, u), fine).values
+        assert got.tobytes() == prolongate_barycentric(u, nc, fine.nodes).tobytes(), ratio
 
 
 def test_prolongation_requires_nested_structured_meshes():

@@ -441,3 +441,13 @@ def test_nested_start_frees_each_coarse_factor_before_the_next(monkeypatch):
     solve_state(m, sys, data, DIRICHLET_LIMIT)
     assert min(sizes) < 17 ** 2 < max(sizes)  # both levels factored
     assert alive_at_make == [0] * len(alive_at_make)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [solve_psor, solve_active_set])
+def test_a_non_finite_tolerance_is_rejected(solve, tol):
+    # NaN passes a bare tol <= 0 test and stops a solver before its first
+    # sweep; inf accepts any iterate
+    m, sys, data = contact_problem(n=4)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        solve(build_vi_problem(m, sys, data, ROBIN), tol=tol)
