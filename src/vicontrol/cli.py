@@ -177,15 +177,19 @@ def _parse_q(spec: str):
             side = side.strip()
             if side not in SIDES:
                 raise ConfigError(f"unknown side {side!r} in flux spec {spec!r}")
-            try:
-                out[side] = float(raw)
-            except ValueError:
-                raise ConfigError(f"bad flux value {raw!r}") from None
+            out[side] = _finite_flux(raw, f"bad flux value {raw!r}")
         return out
+    return _finite_flux(spec, f"bad flux specification {spec!r}")
+
+
+def _finite_flux(raw: str, message: str) -> float:
     try:
-        return float(spec)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"bad flux specification {spec!r}") from None
+        raise ConfigError(message) from None
+    if not np.isfinite(value):
+        raise ConfigError(f"flux must be finite, got {raw.strip()!r}")
+    return value
 
 
 def _validate(cfg: RunConfig):
@@ -199,6 +203,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("tolerances must be positive and finite")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
+    if not -np.inf < cfg.g_low <= cfg.g_high < np.inf:
+        raise ConfigError(f"need finite g_low <= g_high, got {cfg.g_low} and {cfg.g_high}")
     _parse_g(cfg.g)
     _parse_q(cfg.q)
     try:  # numeric data validated by the same rules the solves use

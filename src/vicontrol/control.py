@@ -310,6 +310,8 @@ def check_open_problems(
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
+    if not -np.inf < g_low <= g_high < np.inf:
+        raise InvalidParameterError(f"need finite g_low <= g_high, got {g_low} and {g_high}")
     rng = np.random.default_rng(seed)
     ev = _Evaluator(mesh, sys, data, family, solver=solver, tol=tol)
     m_h = sys.M_H

@@ -12,6 +12,7 @@ Meshes are immutable after construction and safe to share between solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -263,6 +264,7 @@ def prolongate(field: ScalarField, fine: Mesh) -> ScalarField:
     return ScalarField(fine, _prolongation(nc, nf // nc) @ field.values)
 
 
+@lru_cache(maxsize=16)
 def _prolongation(nc: int, ratio: int = 2) -> sp.csr_matrix:
     """P1 prolongation matrix from the nc to the ratio * nc grid.
 
@@ -270,6 +272,8 @@ def _prolongation(nc: int, ratio: int = 2) -> sp.csr_matrix:
     + u11 t if s >= t, else u00 (1 - t) + u11 s + u01 (t - s).  Row i keeps
     the nonzero terms in that order, so ``P @ u`` rounds as the sum does.
     Top and right side nodes lie in the cells beyond, with zero off-grid weights.
+    Each P is built once and shared, so its arrays are read-only: sorting
+    its rows in place would change how ``P @ u`` rounds for every caller.
     """
     nf, m = ratio * nc, nc + 1
     c = np.arange(nf + 1) / nf * nc  # coarse coordinate of each fine grid line
@@ -284,7 +288,10 @@ def _prolongation(nc: int, ratio: int = 2) -> sp.csr_matrix:
                             base + np.where(lower, m + 1, m)])
     nz = np.flatnonzero(w)  # row by row, each row in term order
     indptr = np.concatenate([[0], np.cumsum(np.bincount(nz // 3, minlength=base.size))])
-    return sp.csr_matrix((w.ravel()[nz], cols.ravel()[nz], indptr), shape=(base.size, m * m))
+    P = sp.csr_matrix((w.ravel()[nz], cols.ravel()[nz], indptr), shape=(base.size, m * m))
+    for arr in (P.data, P.indices, P.indptr):
+        arr.flags.writeable = False
+    return P
 
 
 def _element_geometry(mesh: Mesh):

@@ -136,7 +136,8 @@ class _Operator:
     ``shift`` is the load of the eliminated trace, A[free][:, pinned] @
     dirichlet_values; ``template`` is a full vector holding the pinned
     values; ``lu`` is the LU factor of a_ff on the nodes outside the last
-    active mask factored, whose bytes are ``key``.
+    active mask factored, whose bytes are ``key``.  ``csc``, a CSC copy of
+    a_ff made on the first factor, is what each inactive block is cut from.
     """
 
     def __init__(self, p: VIProblem):
@@ -159,6 +160,11 @@ class _Operator:
         """Each PSOR colour class of a_ff with its rows."""
         return [(c, self.a_ff[c]) for c in _colour_classes(self.a_ff)]
 
+    @cached_property
+    def csc(self) -> sp.csc_matrix:
+        """a_ff in CSC form, row indices sorted within each column."""
+        return self.a_ff.tocsc()
+
     def free_mask(self, nodes) -> np.ndarray:
         """Which free nodes lie in the node set ``nodes`` (full indices)."""
         mask = np.zeros(self.template.size, dtype=bool)
@@ -168,14 +174,24 @@ class _Operator:
     def factor(self, active: np.ndarray):
         """LU of a_ff on the nodes outside ``active``; only the last is kept.
 
-        The old factor is dropped before the next one is made, so one
-        operator never holds two.
+        The block keeps the entries of ``csc`` whose row and column are both
+        inactive, renumbered in order, so its arrays are those of
+        ``a_ff[idx][:, idx].tocsc()``.  The old factor is dropped before the
+        next one is made, so one operator never holds two.
         """
         key = active.tobytes()
         if key != self.key:
             self.key = self.lu = None
-            idx_i = np.flatnonzero(~active)
-            self.lu = spla.splu(self.a_ff[idx_i][:, idx_i].tocsc())
+            a, keep = self.csc, ~active
+            # stored entries in an inactive row and column, in storage order
+            pos = np.flatnonzero(keep.take(a.indices) & np.repeat(keep, np.diff(a.indptr)))
+            starts = a.indptr[np.append(keep, True)]  # of the inactive columns, then nnz
+            indptr = np.searchsorted(pos, starts).astype(a.indices.dtype)
+            new = np.cumsum(keep, dtype=a.indices.dtype) - 1  # block index of each node
+            m = indptr.size - 1
+            block = sp.csc_matrix((a.data.take(pos), new.take(a.indices.take(pos)), indptr),
+                                  shape=(m, m))
+            self.lu = spla.splu(block)
             self.key = key
         return self.lu
 
@@ -416,7 +432,7 @@ def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | Non
     if n is None or n % 2 or n // 2 < NESTED_MIN or p._operator.bad_diagonal:
         return None
     nc = n // 2
-    P = _prolongation(nc)
+    P = _prolongation(nc, 2)
     keep = (2 * (n + 1) * np.arange(nc + 1)[:, None] + 2 * np.arange(nc + 1)).ravel()
     nodes = values = None
     if p.dirichlet_nodes is not None:

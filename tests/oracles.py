@@ -236,3 +236,10 @@ def prolongate_barycentric(u, nc, fine_nodes):
     lower = u00 * (1.0 - s) + u10 * (s - t) + u11 * t
     upper = u00 * (1.0 - t) + u11 * s + u01 * (t - s)
     return np.where(s >= t, lower, upper)
+
+
+def inactive_block(a_ff, active):
+    """The block of a_ff on the nodes outside the boolean mask ``active``,
+    cut out by scipy's fancy indexing, in CSC form."""
+    idx = np.flatnonzero(~active)
+    return a_ff[idx][:, idx].tocsc()

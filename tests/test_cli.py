@@ -211,6 +211,25 @@ def test_a_non_finite_tolerance_exits_2(tmp_path, setting):
     assert not (out / "state.csv").exists()
 
 
+@pytest.mark.parametrize("q", ["nan", "inf", "-inf", "bottom=nan", "bottom=1,top=inf"])
+def test_a_non_finite_flux_exits_2(tmp_path, capsys, q):
+    out = tmp_path / "run"
+    code = main(["state", "--preset", "contact-v1", "--set", "n=8", "--set", f"q={q}",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (out / "state.csv").exists()
+
+
+@pytest.mark.parametrize("setting", [["g_low=nan"], ["g_high=inf"], ["g_low=5", "g_high=1"]])
+def test_a_bad_conjecture_control_range_exits_2(tmp_path, capsys, setting):
+    sets = [arg for s in setting for arg in ("--set", s)]
+    code = main(["conjecture", "--preset", "contact-v1", "--set", "n=8", "--set", "trials=3",
+                 *sets, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 @pytest.mark.parametrize("g", ["file:{text}", "file:{nans}", "nan", "box:nan:0:1:0:1"])
 def test_bad_control_input_exits_2(tmp_path, capsys, g):
     text, nans = tmp_path / "text.txt", tmp_path / "nans.txt"

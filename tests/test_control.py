@@ -183,6 +183,15 @@ def test_conjecture_determinism():
         assert a == b
 
 
+@pytest.mark.parametrize("low, high", [(np.nan, 10.0), (-np.inf, 10.0), (-30.0, np.inf),
+                                       (5.0, 1.0)])
+def test_conjecture_rejects_a_bad_control_range(low, high):
+    m = build_unit_square(2)
+    data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
+    with pytest.raises(InvalidParameterError):
+        check_open_problems(m, assemble(m, data), data, trials=1, g_low=low, g_high=high)
+
+
 def test_unknown_method_rejected():
     m = build_unit_square(2)
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)

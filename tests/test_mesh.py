@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from vicontrol.assembly import ProblemData, assemble
 from vicontrol.convergence import fit_order
 from vicontrol.errors import EvaluationError, InvalidParameterError, MeshError
 from vicontrol.mesh import (
     SIDES,
     Mesh,
     ScalarField,
+    _prolongation,
     build_unit_square,
     constant_field,
     interpolate,
@@ -173,6 +175,22 @@ def test_prolongation_matches_the_barycentric_formula_bit_for_bit(nc):
         fine = build_unit_square(ratio * nc)
         got = prolongate(ScalarField(coarse, u), fine).values
         assert got.tobytes() == prolongate_barycentric(u, nc, fine.nodes).tobytes(), ratio
+
+
+def test_prolongation_matrix_is_built_once_and_read_only():
+    nc, ratio = 3, 4
+    P = _prolongation(nc, ratio)
+    assert _prolongation(nc, ratio) is P
+    for arr in (P.data, P.indices, P.indptr):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        P.sort_indices()  # would reorder each row's terms for every caller
+    fine = build_unit_square(ratio * nc)
+    sys = assemble(fine, ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0))
+    P.T @ sys.K @ P
+    u = np.random.default_rng(4).standard_normal((nc + 1) ** 2)
+    got = prolongate(ScalarField(build_unit_square(nc), u), fine).values
+    assert got.tobytes() == prolongate_barycentric(u, nc, fine.nodes).tobytes()
 
 
 def test_prolongation_requires_nested_structured_meshes():

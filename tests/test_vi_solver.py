@@ -20,6 +20,7 @@ from vicontrol.assembly import (
 from vicontrol.errors import InvalidParameterError, MatrixError, NonConvergenceError
 from vicontrol.mesh import ScalarField, build_unit_square, prolongate
 from vicontrol.presets import box_control
+from oracles import inactive_block
 from vicontrol.vi_solver import (
     DIRICHLET_LIMIT,
     ROBIN,
@@ -335,6 +336,48 @@ def test_an_operator_keeps_at_most_one_lu_factor(monkeypatch):
     assert alive_at_make == [0] * len(alive_at_make)  # the old one goes first
     gc.collect()
     assert len(live) <= 1
+
+
+def _block_test_operators():
+    """n = 16 Robin and Dirichlet-limit operators, the Galerkin coarse
+    operator of the latter, and a non-symmetric matrix whose CSR rows are
+    stored in reverse column order."""
+    m, sys, data = contact_problem(n=16)
+    robin, dirichlet = (build_vi_problem(m, sys, data, f) for f in (ROBIN, DIRICHLET_LIMIT))
+    P, gamma1 = _prolongation(8), build_unit_square(8).gamma1_nodes()
+    galerkin = VIProblem(
+        A=(P.T @ dirichlet.A @ P).tocsr(), F=P.T @ dirichlet.F, lower_bound=np.zeros(81),
+        dirichlet_nodes=gamma1, dirichlet_values=np.ones(gamma1.size),
+    )
+    a = (sp.random(40, 40, density=0.15, random_state=5) + 5.0 * sp.eye(40)).tocsr()
+    rev = np.concatenate([np.arange(a.indptr[i + 1] - 1, a.indptr[i] - 1, -1)
+                          for i in range(40)])
+    skew = VIProblem(A=sp.csr_matrix((a.data[rev], a.indices[rev], a.indptr), shape=a.shape),
+                     F=np.ones(40), lower_bound=np.zeros(40))
+    return [q._operator for q in (robin, dirichlet, galerkin, skew)]
+
+
+def test_factor_hands_splu_the_fancy_indexed_inactive_block(monkeypatch):
+    blocks = []
+
+    def splu(a):
+        blocks.append(a.copy())  # as handed over: splu sorts its input in place
+        return spla.splu(a)
+
+    monkeypatch.setattr(vi_solver, "spla", SimpleNamespace(splu=splu))
+    rng = np.random.default_rng(8)
+    for op in _block_test_operators():
+        k = op.free.size
+        one_free = np.ones(k, dtype=bool)
+        one_free[k // 2] = False
+        masks = [rng.random(k) < d for d in (0.1, 0.5, 0.9)] + [np.zeros(k, bool), one_free]
+        for active in masks:
+            op.factor(active)
+            got, want = blocks.pop(), inactive_block(op.a_ff, active)
+            assert got.format == "csc" and got.shape == want.shape
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
