@@ -358,12 +358,11 @@ def cmd_sweep_h(cfg: RunConfig) -> int:
     _write_rate_csv(cfg, "rate_h_state.csv", state_tab)
     _write_rate_csv(cfg, "rate_h_cost.csv", cost_tab)
 
-    guard = convergence.FIT_GUARD_FACTOR * cfg.tol
     checks = []
     lines = []
     for name, tab in (("state", state_tab), ("cost", cost_tab)):
         errs = tab.errors()
-        zero = bool(np.all(errs < guard))
+        zero = bool(np.all(errs < session.fit_floor))
         ok_order, detail = _order_check(tab, ORDER_FLOOR, zero)
         decreasing = zero or convergence.strictly_decreasing(errs)
         lines.append(f"{name} errors: {', '.join(_fmt(e) for e in errs)}")
@@ -378,15 +377,14 @@ def cmd_sweep_h(cfg: RunConfig) -> int:
 def cmd_sweep_alpha(cfg: RunConfig) -> int:
     data = _problem_data(cfg)
     alphas = _number_list(cfg.alphas, "alphas")
-    tables = convergence.alpha_sweep_state(
-        data, cfg.n, alphas, cfg.gamma1, cfg.solver, cfg.tol
-    )
+    session = StudySession(data, cfg.gamma1, cfg.solver, cfg.tol)
+    tables = convergence.alpha_sweep_state(data, cfg.n, alphas, session=session)
     _write_rate_csv(cfg, "rate_alpha_trace.csv", tables["R"])
     _write_rate_csv(cfg, "rate_alpha_v.csv", tables["V"])
 
     r_tab, v_tab = tables["R"], tables["V"]
     r_errs, v_errs = r_tab.errors(), v_tab.errors()
-    guard = convergence.FIT_GUARD_FACTOR * cfg.tol
+    guard = session.fit_floor
     zero = bool(np.all(r_errs < guard) and np.all(v_errs < guard))
     if zero:
         checks = [("trace slope (zero-level errors)", True), ("V errors monotone", True)]

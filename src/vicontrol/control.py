@@ -141,11 +141,9 @@ def cost(
     sys: AssembledSystem,
     data: ProblemData,
     family: str = ROBIN,
-    solver: str = "active_set",
-    tol: float = 1e-11,
 ) -> CostReport:
-    """Evaluate the cost of data.g, solving the state system once."""
-    ev = _Evaluator(mesh, sys, data, family, solver=solver, tol=tol)
+    """Evaluate the cost of data.g from one active-set state solve to tol 1e-11."""
+    ev = _Evaluator(mesh, sys, data, family)
     g = as_control_field(mesh, data.g)
     return ev.cost(g.values)
 
@@ -263,17 +261,15 @@ def convex_combination_states(
     g2,
     mu: float,
     family: str = ROBIN,
-    solver: str = "active_set",
-    tol: float = 1e-11,
 ) -> dict[str, ScalarField]:
     """States attached to a convex combination of two controls.
 
     Returns u3 = mu u_{g1} + (1 - mu) u_{g2} (combination of states) and
-    u4 = the state of the combined control mu g1 + (1 - mu) g2.
+    u4 = the state of mu g1 + (1 - mu) g2 (active-set solves to tol 1e-11).
     """
     if not (0.0 <= mu <= 1.0):
         raise InvalidParameterError(f"mu must lie in [0, 1], got {mu}")
-    ev = _Evaluator(mesh, sys, data, family, solver=solver, tol=tol)
+    ev = _Evaluator(mesh, sys, data, family)
     v1, v2 = (as_control_field(mesh, g).values for g in (g1, g2))
     _, u1, u2, u3, u4 = _combination_states(ev, v1, v2, mu)
     return {"u3": ScalarField(mesh, u3), "u4": ScalarField(mesh, u4)}
@@ -297,23 +293,22 @@ def check_open_problems(
     g_low: float = -30.0,
     g_high: float = 10.0,
     solver: str = "active_set",
-    tol: float = 1e-11,
 ) -> ConjectureReport:
     """Randomized evidence for the two open ordering questions.
 
     Per trial, draws nodal controls g1, g2 uniform in [g_low, g_high] and
     mu uniform in [0, 1], then records the pointwise margin min(u3 - u4),
     the H-norm margin ||u3||_H - ||u4||_H, and the convexity gap
-    mu J(g1) + (1-mu) J(g2) - J(g3).  Negative margins are findings, not
-    failures; witnesses carry the inputs.  Asserts only the guaranteed
-    feasibility u4 >= 0.
+    mu J(g1) + (1-mu) J(g2) - J(g3).  States are solved with ``solver`` to
+    tol 1e-11.  Negative margins are findings, not failures; witnesses carry
+    the inputs.  Asserts only the guaranteed feasibility u4 >= 0.
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
     if not -np.inf < g_low <= g_high < np.inf:
         raise InvalidParameterError(f"need finite g_low <= g_high, got {g_low} and {g_high}")
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(mesh, sys, data, family, solver=solver, tol=tol)
+    ev = _Evaluator(mesh, sys, data, family, solver=solver)
     m_h = sys.M_H
     mcost = data.M_cost
     rows = []

@@ -147,6 +147,11 @@ class StudySession:
         self._grid = {}
         self._states = {}
 
+    @property
+    def fit_floor(self) -> float:
+        """Errors below this are solver noise and excluded from rate fits."""
+        return FIT_GUARD_FACTOR * self.tol
+
     def grid(self, n: int):
         if n not in self._grid:
             mesh = build_unit_square(n, self.gamma1)
@@ -179,23 +184,30 @@ def _check_levels(levels):
     return levels
 
 
-def _h_sweep(data, levels, gamma1, solver, tol, session, tag, reference, measure):
+def _sweep_session(data, tol, session) -> StudySession:
+    """The given session, which must be built on data, or a default one at tol."""
+    if session is None:
+        return StudySession(data, tol=tol)
+    if session.data is not data:
+        raise InvalidParameterError("the session was built on other problem data")
+    return session
+
+
+def _h_sweep(data, levels, tol, session, tag, reference, measure):
     """Rows (h, error, tag) over the levels; ``measure(s, n_ref)`` takes the
     reference on the n_ref = 2 * finest grid and returns the error of a level."""
     levels = _check_levels(levels)
-    s = session or StudySession(data, gamma1, solver, tol)
+    s = _sweep_session(data, tol, session)
     n_ref = 2 * levels[-1]
     error = measure(s, n_ref)
     rows = [(s.grid(n)[0].h, error(n), tag) for n in levels]
-    return _make_table("h", rows, reference.format(n_ref), guard=FIT_GUARD_FACTOR * s.tol)
+    return _make_table("h", rows, reference.format(n_ref), guard=s.fit_floor)
 
 
 def h_sweep_state(
     data: ProblemData,
     alpha: float,
     levels,
-    gamma1="bottom",
-    solver="active_set",
     tol: float = 1e-10,
     session: StudySession | None = None,
 ) -> RateTable:
@@ -203,8 +215,8 @@ def h_sweep_state(
 
     The reference is the solution on a one-more-refined mesh (twice the
     finest level); coarser solutions are prolonged exactly before taking
-    norms on the reference mesh.  A given session supplies data, gamma1,
-    solver and tol.
+    norms on the reference mesh.  A session built on data supplies gamma1,
+    solver and tol; the default one is (bottom, active_set, tol).
     """
 
     def measure(s, n_ref):
@@ -213,7 +225,7 @@ def h_sweep_state(
         return lambda n: norm_V(
             sys_ref, prolongate(s.state(n, ROBIN, alpha), mesh_ref).values - u_ref)
 
-    return _h_sweep(data, levels, gamma1, solver, tol, session, "V",
+    return _h_sweep(data, levels, tol, session, "V",
                     "surrogate_reference: robin state on n={} grid (one refinement "
                     "beyond the finest measured level)", measure)
 
@@ -222,21 +234,19 @@ def h_sweep_cost(
     data: ProblemData,
     alpha: float,
     levels,
-    gamma1="bottom",
-    solver="active_set",
     tol: float = 1e-10,
     session: StudySession | None = None,
 ) -> RateTable:
     """Cost gap |J_h(g) - J_ref(g)| under mesh refinement at fixed alpha.
 
-    A given session supplies data, gamma1, solver and tol.
+    The session supplies gamma1, solver and tol, as in :func:`h_sweep_state`.
     """
 
     def measure(s, n_ref):
         j_ref = s.cost_value(n_ref, ROBIN, alpha)
         return lambda n: abs(s.cost_value(n, ROBIN, alpha) - j_ref)
 
-    return _h_sweep(data, levels, gamma1, solver, tol, session, "J",
+    return _h_sweep(data, levels, tol, session, "J",
                     "surrogate_reference: cost at n={} grid", measure)
 
 
@@ -244,23 +254,21 @@ def alpha_sweep_state(
     data: ProblemData,
     n: int,
     alphas,
-    gamma1="bottom",
-    solver="active_set",
     tol: float = 1e-10,
     session: StudySession | None = None,
 ) -> dict[str, RateTable]:
     """Distance to the Dirichlet-limit state as alpha grows, fixed mesh.
 
     Returns two tables keyed "R" (trace error on gamma1, fitted against
-    alpha - 1) and "V" (full V-norm error, for monotonicity checks).  A
-    given session supplies data, gamma1, solver and tol.
+    alpha - 1) and "V" (full V-norm error, for monotonicity checks).  The
+    session supplies gamma1, solver and tol, as in :func:`h_sweep_state`.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 1.0 for a in alphas):
         raise InvalidParameterError("alpha sweep requires alpha > 1")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidParameterError("alpha values must be strictly increasing")
-    s = session or StudySession(data, gamma1, solver, tol)
+    s = _sweep_session(data, tol, session)
     mesh, sys = s.grid(n)
     u_lim = s.state(n, DIRICHLET_LIMIT, None).values
     rows_r, rows_v = [], []
@@ -270,8 +278,8 @@ def alpha_sweep_state(
         rows_v.append((a - 1.0, norm_V(sys, diff), "V"))
     ref = f"dirichlet-limit state on the same n={n} grid"
     return {
-        "R": _make_table("alpha_minus_1", rows_r, ref, guard=FIT_GUARD_FACTOR * s.tol),
-        "V": _make_table("alpha_minus_1", rows_v, ref, guard=FIT_GUARD_FACTOR * s.tol),
+        "R": _make_table("alpha_minus_1", rows_r, ref, guard=s.fit_floor),
+        "V": _make_table("alpha_minus_1", rows_v, ref, guard=s.fit_floor),
     }
 
 
@@ -416,9 +424,8 @@ def _interp_errors(mesh: Mesh, f, grad_f) -> tuple[float, float]:
         uh = un @ lam
         fv = np.array([f(float(a_), float(b_)) for a_, b_ in zip(px, py)])
         err_l2 += w * float(np.sum(area * (fv - uh) ** 2))
-        if grad_f is not None:
-            gf = np.array([grad_f(float(a_), float(b_)) for a_, b_ in zip(px, py)])
-            err_h1 += w * float(np.sum(area * ((gf[:, 0] - gx) ** 2 + (gf[:, 1] - gy) ** 2)))
+        gf = np.array([grad_f(float(a_), float(b_)) for a_, b_ in zip(px, py)])
+        err_h1 += w * float(np.sum(area * ((gf[:, 0] - gx) ** 2 + (gf[:, 1] - gy) ** 2)))
     return math.sqrt(max(err_l2, 0.0)), math.sqrt(max(err_h1, 0.0))
 
 

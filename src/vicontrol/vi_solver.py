@@ -401,6 +401,10 @@ def build_vi_problem(
     mesh: Mesh, sys: AssembledSystem, data: ProblemData, family: str
 ) -> VIProblem:
     """Construct the VI of the requested family on an assembled mesh."""
+    if sys.mesh is not mesh and not all(
+            np.array_equal(getattr(sys.mesh, k), getattr(mesh, k))
+            for k in ("nodes", "triangles", "gamma1_edges", "gamma2_edges")):
+        raise InvalidParameterError("the assembled system belongs to a different mesh")
     if family == ROBIN:
         if data.alpha is None:
             raise InvalidParameterError("robin family requires alpha > 0")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from vicontrol.assembly import ProblemData
 from vicontrol.cli import main
+from vicontrol.convergence import StudySession, alpha_sweep_state
+from vicontrol.presets import box_control
 
 
 def read_csv(path):
@@ -239,3 +242,22 @@ def test_bad_control_input_exits_2(tmp_path, capsys, g):
                  "--set", "g=" + g.format(text=text, nans=nans), "--out", str(tmp_path / "run")])
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_sweep_alpha_honours_gamma1_and_solver(tmp_path):
+    def trace_rows(*sets):
+        out = tmp_path / ("-".join(sets) or "default")
+        args = [a for s in sets for a in ("--set", s)]
+        code = main(["sweep-alpha", "--preset", "contact-v1", "--set", "n=8", *args,
+                     "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out / "rate_alpha_trace.csv")
+        return [(float(r[1]) + 1.0, float(r[2])) for r in rows]
+
+    chosen = trace_rows("gamma1=left", "solver=psor")
+    data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0,
+                       g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))  # contact-v1
+    session = StudySession(data, "left", "psor", 1e-10)
+    tables = alpha_sweep_state(data, 8, [a for a, _ in chosen], session=session)
+    assert [e for _, e in chosen] == tables["R"].errors().tolist()
+    assert chosen != trace_rows()

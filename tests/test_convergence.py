@@ -153,3 +153,14 @@ def test_a_sweep_takes_its_fit_guard_from_the_given_session():
     given = h_sweep_state(d, 2.0, levels, tol=1.0, session=StudySession(d))
     assert plain.fitted_order is not None
     assert (given.fitted_order, given.note) == (plain.fitted_order, plain.note)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda d, s: h_sweep_state(d, 2.0, [2, 4, 8, 16], session=s),
+    lambda d, s: h_sweep_cost(d, 2.0, [2, 4, 8, 16], session=s),
+    lambda d, s: alpha_sweep_state(d, 4, [2.0, 4.0, 8.0], session=s),
+], ids=["h_sweep_state", "h_sweep_cost", "alpha_sweep_state"])
+def test_a_sweep_rejects_a_session_built_on_other_data(sweep):
+    # the session's data used to win silently over the data argument
+    with pytest.raises(InvalidParameterError, match="other problem data"):
+        sweep(contact_data(), StudySession(quiet_data()))

@@ -17,6 +17,7 @@ from vicontrol.assembly import (
     norm_H,
     norm_V,
 )
+from vicontrol.control import cost
 from vicontrol.errors import InvalidParameterError, MatrixError, NonConvergenceError
 from vicontrol.mesh import ScalarField, build_unit_square, prolongate
 from vicontrol.presets import box_control
@@ -494,3 +495,18 @@ def test_a_non_finite_tolerance_is_rejected(solve, tol):
     m, sys, data = contact_problem(n=4)
     with pytest.raises(InvalidParameterError, match="finite"):
         solve(build_vi_problem(m, sys, data, ROBIN), tol=tol)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda m, sys, data: solve_state(m, sys, data, ROBIN),
+    lambda m, sys, data: solve_state(m, sys, data, DIRICHLET_LIMIT),
+    lambda m, sys, data: cost(m, sys, data),
+], ids=["robin", "dirichlet_limit", "cost"])
+def test_a_system_assembled_on_another_mesh_is_rejected(solve):
+    # same node count, other gamma1: the Robin state came out about 0.075
+    # off with no error
+    m, sys, data = contact_problem(n=8)
+    other = assemble(build_unit_square(8, "left"), data)
+    with pytest.raises(InvalidParameterError, match="different mesh"):
+        solve(m, other, data)
+    solve(build_unit_square(8), sys, data)  # an equal mesh built afresh is accepted
