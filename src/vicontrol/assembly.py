@@ -17,7 +17,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import AssemblyError, InvalidParameterError
-from .mesh import _AREA_TOL, Mesh, ScalarField, _element_geometry, constant_field, interpolate
+from .mesh import (_AREA_TOL, Mesh, ScalarField, _element_geometry, _same_mesh, constant_field,
+                   interpolate)
 
 # control/flux specifications accepted by problem data
 ControlSpec = Union[float, Callable[[float, float], float], ScalarField, None]
@@ -85,7 +86,7 @@ def as_control_field(mesh: Mesh, g: ControlSpec) -> ScalarField:
     if g is None:
         return constant_field(mesh, 0.0)
     if isinstance(g, ScalarField):
-        if g.mesh is not mesh:
+        if not _same_mesh(g.mesh, mesh):
             raise InvalidParameterError("control field lives on a different mesh")
         return g
     if callable(g):

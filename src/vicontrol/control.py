@@ -192,6 +192,8 @@ def _proj_grad(ev: _Evaluator, g: np.ndarray, tol: float, max_iter: int) -> Opti
         accepted = None
         for _ in range(MAX_BACKTRACKS):
             trial = g - step * grad
+            if np.array_equal(trial, g):
+                break  # the step rounds away, and J(g) passes Armijo at rounding level
             trial_report = ev.cost(trial)
             if trial_report.value <= report.value - ARMIJO_C * step * gnorm * gnorm:
                 accepted = (trial, trial_report)

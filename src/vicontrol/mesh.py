@@ -70,6 +70,13 @@ class Mesh:
         return np.unique(self.gamma1_edges)
 
 
+def _same_mesh(a: Mesh, b: Mesh) -> bool:
+    """Whether a and b are one mesh: the same object, or equal nodes,
+    triangles and boundary edges."""
+    return a is b or all(np.array_equal(getattr(a, k), getattr(b, k))
+                         for k in ("nodes", "triangles", "gamma1_edges", "gamma2_edges"))
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Nodal coefficients of a piecewise-linear function on a mesh."""

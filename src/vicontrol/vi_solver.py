@@ -24,8 +24,11 @@ one ended, so that is the factor they reuse.
 Active-set solves on even-n structured meshes start from the Galerkin
 coarse VI (P^T A P, P^T F) on the n/2 grid: its solution is prolonged,
 smoothed by a few damped projected-Jacobi sweeps, and the contact set is
-read off with the active-set update rule.  The answer is the cold start's,
-reached in fewer fine-level iterations.
+read off with the active-set update rule.  From n = TWO_LEVEL_MIN on, one
+more active-set step follows, its inactive system solved by CG with a
+Jacobi plus truncated coarse-grid preconditioner that reuses the coarse
+solve's LU, so the fine solve usually factors once.  The answer is the
+cold start's, reached in fewer fine-level iterations.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .errors import (
     MatrixError,
     NonConvergenceError,
 )
-from .mesh import Mesh, ScalarField, _prolongation
+from .mesh import Mesh, ScalarField, _prolongation, _same_mesh
 
 ROBIN = "robin"
 DIRICHLET_LIMIT = "dirichlet_limit"
@@ -67,6 +70,9 @@ ENUMERATE_MAX_FREE = 14
 NESTED_MIN = 8
 SMOOTH_SWEEPS = 20
 JACOBI_OMEGA = 2.0 / 3.0
+TWO_LEVEL_MIN = 128
+TWO_LEVEL_TOL = 1e-6
+TWO_LEVEL_MAX_ITER = 30
 DUAL_TOL = 1e-12
 FEASIBILITY_TOL = 1e-12
 
@@ -401,9 +407,7 @@ def build_vi_problem(
     mesh: Mesh, sys: AssembledSystem, data: ProblemData, family: str
 ) -> VIProblem:
     """Construct the VI of the requested family on an assembled mesh."""
-    if sys.mesh is not mesh and not all(
-            np.array_equal(getattr(sys.mesh, k), getattr(mesh, k))
-            for k in ("nodes", "triangles", "gamma1_edges", "gamma2_edges")):
+    if not _same_mesh(sys.mesh, mesh):
         raise InvalidParameterError("the assembled system belongs to a different mesh")
     if family == ROBIN:
         if data.alpha is None:
@@ -430,7 +434,8 @@ def build_vi_problem(
 def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | None:
     """Contact set of p from its Galerkin VI on the n/2 grid, itself seeded
     so: the coarse solution is prolonged, smoothed by SMOOTH_SWEEPS damped
-    projected-Jacobi sweeps, and the active-set update rule is read off it.
+    projected-Jacobi sweeps, and the active-set update rule is read off it;
+    for n >= TWO_LEVEL_MIN that set takes one :func:`_two_level_step`.
     None (cold start) if n is None, odd or < 2 NESTED_MIN, if p has a
     non-positive free diagonal entry, or on a coarse NonConvergenceError."""
     if n is None or n % 2 or n // 2 < NESTED_MIN or p._operator.bad_diagonal:
@@ -454,7 +459,55 @@ def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | Non
     u_f = np.maximum(lb_f, (P @ u_c.values())[free])
     for _ in range(SMOOTH_SWEEPS):
         u_f = np.maximum(lb_f, u_f + JACOBI_OMEGA * (f_f - a_ff @ u_f) / diag)
-    return free[a_ff @ u_f - f_f > u_f - lb_f]
+    active = a_ff @ u_f - f_f > u_f - lb_f
+    if n >= TWO_LEVEL_MIN:
+        active = _two_level_step(p._operator, f_f, u_f, active, P, pc._operator)
+    return free[active]
+
+
+def _two_level_step(op: _Operator, f_f, u_f, active, P, op_c: _Operator) -> np.ndarray:
+    """The active-set update of ``active`` (a mask of op's free nodes) with
+    its inactive system solved by CG from u_f, preconditioned by D_I^-1 +
+    P_I A_c^-1 P_I^T: D_I the inactive diagonal, A_c^-1 the last LU of the
+    coarse operator op_c and P_I the prolongation P truncated to the
+    inactive nodes of both grids.  ``active`` itself when op_c holds no
+    factor, and on a breakdown or a non-finite value or if the relative
+    residual is above TWO_LEVEL_TOL after TWO_LEVEL_MAX_ITER steps."""
+    if op_c.lu is None:
+        return active
+    a_ff, lb_f, idx = op.a_ff, op.lb_f, np.flatnonzero(~active)
+    rows, cols = op.free[idx], op_c.free[~np.frombuffer(op_c.key, dtype=bool)]
+    fine, coarse, w = np.zeros(P.shape[0]), np.zeros(P.shape[1]), np.zeros(lb_f.size)
+    d_inv = 1.0 / op.diag[idx]
+
+    def precondition(r):
+        fine[rows] = r
+        coarse[cols] = op_c.lu.solve((P.T @ fine)[cols])
+        return d_inv * r + (P @ coarse)[rows]
+
+    def a_ii(x):
+        w[idx] = x
+        return (a_ff @ w)[idx]
+
+    u = np.where(active, lb_f, 0.0)
+    b = (f_f - a_ff @ u)[idx]
+    stop, x = TWO_LEVEL_TOL * np.linalg.norm(b), u_f[idx]
+    r = b - a_ii(x)
+    d = z = precondition(r)
+    rz = r @ z
+    for _ in range(TWO_LEVEL_MAX_ITER):
+        q = a_ii(d)
+        dq = d @ q
+        if not (np.isfinite(rz) and 0.0 < dq < np.inf):  # breakdown, or NaN or inf
+            return active
+        x, r = x + (rz / dq) * d, r - (rz / dq) * q
+        if np.linalg.norm(r) <= stop:
+            u[idx] = x
+            return a_ff @ u - f_f > u - lb_f
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        d = z + (rz / rz_old) * d
+    return active
 
 
 SOLVERS = ("active_set", "psor")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vicontrol import control
 from vicontrol.assembly import ProblemData, assemble, norm_H
 from vicontrol.control import (
     check_open_problems,
@@ -8,7 +9,7 @@ from vicontrol.control import (
     cost,
     optimize,
 )
-from vicontrol.errors import InvalidParameterError
+from vicontrol.errors import InvalidParameterError, LineSearchError
 from vicontrol.mesh import ScalarField, build_unit_square
 from vicontrol.vi_solver import DIRICHLET_LIMIT, ROBIN, solve_state
 
@@ -73,6 +74,26 @@ def test_optimizer_bound_and_monotone_history():
     assert norm_H(sys, rep.g_opt) <= norm_H(sys, u0) / np.sqrt(data.M_cost) + 1e-8
     assert rep.J_opt <= 0.5 * norm_H(sys, u0) ** 2 + 1e-12
     assert all(b <= a for a, b in zip(rep.history, rep.history[1:]))
+
+
+def test_a_step_that_rounds_away_ends_the_line_search(monkeypatch):
+    # at tol 1e-12 the gradient stalls near 2e-12: the backtracking reaches a
+    # trial equal to g, whose J passes the Armijo test at rounding level, and
+    # accepting such null steps spun to max_iter (8462 state solves)
+    m = build_unit_square(4)
+    data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
+    evaluations = []
+    evaluate = control._Evaluator.cost
+
+    def counted(ev, gvals):
+        evaluations.append(1)
+        return evaluate(ev, gvals)
+
+    monkeypatch.setattr(control._Evaluator, "cost", counted)
+    with pytest.raises(LineSearchError) as err:
+        optimize(m, assemble(m, data), data, ROBIN, tol=1e-12)
+    assert len(evaluations) <= 1000
+    assert err.value.best.gradient_norm_final > 1e-12
 
 
 def test_huge_cost_weight_collapses_the_control():

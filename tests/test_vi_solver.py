@@ -1,3 +1,4 @@
+import functools
 import gc
 import warnings
 import weakref
@@ -510,3 +511,63 @@ def test_a_system_assembled_on_another_mesh_is_rejected(solve):
     with pytest.raises(InvalidParameterError, match="different mesh"):
         solve(m, other, data)
     solve(build_unit_square(8), sys, data)  # an equal mesh built afresh is accepted
+
+
+@functools.lru_cache(maxsize=2)
+def _contact_v1_128(family):
+    """The n = 128 contact-v1 box problem of a family and the bytes of its
+    cold active-set answer."""
+    m, sys, data = contact_problem(n=128, g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
+    cold = solve_active_set(build_vi_problem(m, sys, data, family), mesh=m)
+    return m, sys, data, cold.values().tobytes()
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_two_level_step_leaves_one_fine_lu_per_state_solve(family, monkeypatch):
+    m, sys, data, cold = _contact_v1_128(family)
+    live, alive_at_make, sizes = weakref.WeakSet(), [], []
+
+    def record(factor):
+        alive_at_make.append(len(live))
+        sizes.append(factor.lu.shape[0])
+        live.add(factor)
+
+    step, made_in_step = vi_solver._two_level_step, []
+
+    def counted_step(*args):
+        before = len(sizes)
+        active = step(*args)
+        made_in_step.append(len(sizes) - before)
+        return active
+
+    _proxy_splu(monkeypatch, record)
+    monkeypatch.setattr(vi_solver, "_two_level_step", counted_step)
+    rep = solve_state(m, sys, data, family)
+    assert rep.iterations == 1
+    assert made_in_step == [0]  # one step, on the n = 128 level, and it factors nothing
+    assert sum(s > 65 ** 2 for s in sizes) == 1 and sizes[-1] > 65 ** 2
+    assert alive_at_make == [0] * len(alive_at_make)  # the coarse factor went first
+    assert rep.values().tobytes() == cold
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_a_failed_two_level_step_falls_back_to_the_read_off_set(family, monkeypatch):
+    m, sys, data, cold = _contact_v1_128(family)
+    monkeypatch.setattr(vi_solver, "TWO_LEVEL_MAX_ITER", 0)
+    rep = solve_state(m, sys, data, family)
+    assert rep.iterations > 1
+    assert rep.values().tobytes() == cold
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_a_control_field_on_an_equal_mesh_is_accepted(family):
+    m = build_unit_square(8)
+    g = ScalarField(m, -20.0 * np.random.default_rng(3).random(m.node_count))
+    data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0, g=g)
+    sys = assemble(m, data)
+    want = solve_state(m, sys, data, family).values()
+    assert solve_state(build_unit_square(8), sys, data, family).values().tobytes() == \
+        want.tobytes()
+    other = replace(data, g=ScalarField(build_unit_square(8, "left"), g.values))
+    with pytest.raises(InvalidParameterError, match="different mesh"):
+        solve_state(m, sys, other, family)
