@@ -203,6 +203,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError("tolerances must be positive and finite")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
+    if cfg.max_iter < 0:
+        raise ConfigError(f"max_iter must be >= 0 (0: solver default), got {cfg.max_iter}")
+    if cfg.opt_max_iter < 1:
+        raise ConfigError(f"opt_max_iter must be >= 1, got {cfg.opt_max_iter}")
     if not -np.inf < cfg.g_low <= cfg.g_high < np.inf:
         raise ConfigError(f"need finite g_low <= g_high, got {cfg.g_low} and {cfg.g_high}")
     _parse_g(cfg.g)

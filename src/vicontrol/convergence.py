@@ -184,20 +184,20 @@ def _check_levels(levels):
     return levels
 
 
-def _sweep_session(data, tol, session) -> StudySession:
-    """The given session, which must be built on data, or a default one at tol."""
+def _sweep_session(data, session) -> StudySession:
+    """The given session, which must be built on data, or a default one."""
     if session is None:
-        return StudySession(data, tol=tol)
+        return StudySession(data)
     if session.data is not data:
         raise InvalidParameterError("the session was built on other problem data")
     return session
 
 
-def _h_sweep(data, levels, tol, session, tag, reference, measure):
+def _h_sweep(data, levels, session, tag, reference, measure):
     """Rows (h, error, tag) over the levels; ``measure(s, n_ref)`` takes the
     reference on the n_ref = 2 * finest grid and returns the error of a level."""
     levels = _check_levels(levels)
-    s = _sweep_session(data, tol, session)
+    s = _sweep_session(data, session)
     n_ref = 2 * levels[-1]
     error = measure(s, n_ref)
     rows = [(s.grid(n)[0].h, error(n), tag) for n in levels]
@@ -208,7 +208,6 @@ def h_sweep_state(
     data: ProblemData,
     alpha: float,
     levels,
-    tol: float = 1e-10,
     session: StudySession | None = None,
 ) -> RateTable:
     """State error in the V-norm under mesh refinement at fixed alpha.
@@ -216,7 +215,7 @@ def h_sweep_state(
     The reference is the solution on a one-more-refined mesh (twice the
     finest level); coarser solutions are prolonged exactly before taking
     norms on the reference mesh.  A session built on data supplies gamma1,
-    solver and tol; the default one is (bottom, active_set, tol).
+    solver and tol; the default one is ``StudySession(data)``.
     """
 
     def measure(s, n_ref):
@@ -225,7 +224,7 @@ def h_sweep_state(
         return lambda n: norm_V(
             sys_ref, prolongate(s.state(n, ROBIN, alpha), mesh_ref).values - u_ref)
 
-    return _h_sweep(data, levels, tol, session, "V",
+    return _h_sweep(data, levels, session, "V",
                     "surrogate_reference: robin state on n={} grid (one refinement "
                     "beyond the finest measured level)", measure)
 
@@ -234,7 +233,6 @@ def h_sweep_cost(
     data: ProblemData,
     alpha: float,
     levels,
-    tol: float = 1e-10,
     session: StudySession | None = None,
 ) -> RateTable:
     """Cost gap |J_h(g) - J_ref(g)| under mesh refinement at fixed alpha.
@@ -246,7 +244,7 @@ def h_sweep_cost(
         j_ref = s.cost_value(n_ref, ROBIN, alpha)
         return lambda n: abs(s.cost_value(n, ROBIN, alpha) - j_ref)
 
-    return _h_sweep(data, levels, tol, session, "J",
+    return _h_sweep(data, levels, session, "J",
                     "surrogate_reference: cost at n={} grid", measure)
 
 
@@ -254,7 +252,6 @@ def alpha_sweep_state(
     data: ProblemData,
     n: int,
     alphas,
-    tol: float = 1e-10,
     session: StudySession | None = None,
 ) -> dict[str, RateTable]:
     """Distance to the Dirichlet-limit state as alpha grows, fixed mesh.
@@ -268,7 +265,7 @@ def alpha_sweep_state(
         raise InvalidParameterError("alpha sweep requires alpha > 1")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidParameterError("alpha values must be strictly increasing")
-    s = _sweep_session(data, tol, session)
+    s = _sweep_session(data, session)
     mesh, sys = s.grid(n)
     u_lim = s.state(n, DIRICHLET_LIMIT, None).values
     rows_r, rows_v = [], []
@@ -287,7 +284,7 @@ def alpha_sweep_state(
 class DiagramRow:
     n: int
     h: float
-    alpha: float | None  # None marks the Dirichlet edge
+    alpha: float
     J_opt: float
     g_norm: float
     d1: float

@@ -16,6 +16,7 @@ from vicontrol.assembly import (
 from vicontrol.cli import main
 from vicontrol.control import check_open_problems, optimize
 from vicontrol.convergence import (
+    StudySession,
     alpha_sweep_state,
     diagram,
     h_sweep_cost,
@@ -138,7 +139,8 @@ def test_criterion_05_cost_gap_rate_in_h():
 
 def test_criterion_06_alpha_rate_to_dirichlet_limit():
     data = ProblemData(alpha=2.0, **CONTACT)
-    tables = alpha_sweep_state(data, 16, [2.0**k for k in range(1, 15)], tol=1e-10)
+    tables = alpha_sweep_state(data, 16, [2.0**k for k in range(1, 15)],
+                               session=StudySession(data, tol=1e-10))
     slope = tables["R"].fitted_order
     guard = 100 * 1e-10
     v_errs = tables["V"].errors()

@@ -233,6 +233,19 @@ def test_a_bad_conjecture_control_range_exits_2(tmp_path, capsys, setting):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("state", "max_iter=-1"), ("optimize", "opt_max_iter=0"), ("optimize", "opt_max_iter=-3"),
+])
+def test_a_negative_iteration_cap_exits_2(tmp_path, capsys, command, setting):
+    # these reached the solver and exited 3 with "... after -1 iterations / 0 steps"
+    out = tmp_path / "run"
+    code = main([command, "--preset", "contact-v1", "--set", "n=8", "--set", setting,
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("g", ["file:{text}", "file:{nans}", "nan", "box:nan:0:1:0:1"])
 def test_bad_control_input_exits_2(tmp_path, capsys, g):
     text, nans = tmp_path / "text.txt", tmp_path / "nans.txt"

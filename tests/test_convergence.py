@@ -3,6 +3,7 @@ import pytest
 
 from vicontrol.assembly import ProblemData
 from vicontrol.convergence import (
+    ZERO_NOTE,
     RateTable,
     StudySession,
     alpha_sweep_state,
@@ -150,9 +151,12 @@ def test_a_sweep_takes_its_fit_guard_from_the_given_session():
     d = contact_data()
     levels = [2, 4, 8, 16]
     plain = h_sweep_state(d, 2.0, levels)
-    given = h_sweep_state(d, 2.0, levels, tol=1.0, session=StudySession(d))
-    assert plain.fitted_order is not None
-    assert (given.fitted_order, given.note) == (plain.fitted_order, plain.note)
+    session = StudySession(d, tol=1e-3)
+    given = h_sweep_state(d, 2.0, levels, session=session)
+    errs, floor = given.errors(), session.fit_floor
+    assert floor == 100 * 1e-3 and plain.note == "" and given.note == ZERO_NOTE
+    assert np.any(errs < floor) and np.sum(errs >= floor) >= 3
+    assert given.fitted_order == fit_order([(h, e) for h, e, _ in given.rows if e >= floor])
 
 
 @pytest.mark.parametrize("sweep", [

@@ -550,13 +550,41 @@ def test_two_level_step_leaves_one_fine_lu_per_state_solve(family, monkeypatch):
     assert rep.values().tobytes() == cold
 
 
+def _recorded_steps(monkeypatch):
+    """Route _two_level_step through a wrapper; each call appends
+    (op, f_f, the input mask, the returned mask) to the list returned."""
+    step, calls = vi_solver._two_level_step, []
+
+    def recorded_step(op, f_f, u_f, active, P, op_c):
+        calls.append((op, f_f, active.copy(), step(op, f_f, u_f, active, P, op_c)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(vi_solver, "_two_level_step", recorded_step)
+    return calls
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_the_two_level_step_reads_its_set_off_an_exact_inactive_solve(family, monkeypatch):
+    m, sys, data, _ = _contact_v1_128(family)
+    calls = _recorded_steps(monkeypatch)
+    solve_state(m, sys, data, family)
+    [(op, f_f, active, got)] = calls
+    idx, u = np.flatnonzero(~active), np.where(active, op.lb_f, 0.0)
+    u[idx] = spla.splu(inactive_block(op.a_ff, active)).solve((f_f - op.a_ff @ u)[idx])
+    np.testing.assert_array_equal(got, op.a_ff @ u - f_f > u - op.lb_f)
+    assert not np.array_equal(got, active)
+
+
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
 def test_a_failed_two_level_step_falls_back_to_the_read_off_set(family, monkeypatch):
     m, sys, data, cold = _contact_v1_128(family)
     monkeypatch.setattr(vi_solver, "TWO_LEVEL_MAX_ITER", 0)
+    calls = _recorded_steps(monkeypatch)
     rep = solve_state(m, sys, data, family)
     assert rep.iterations > 1
     assert rep.values().tobytes() == cold
+    [(_, _, active, got)] = calls
+    np.testing.assert_array_equal(got, active)  # cg's success at maxiter 0 is not taken
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
