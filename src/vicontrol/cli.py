@@ -207,8 +207,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"max_iter must be >= 0 (0: solver default), got {cfg.max_iter}")
     if cfg.opt_max_iter < 1:
         raise ConfigError(f"opt_max_iter must be >= 1, got {cfg.opt_max_iter}")
-    if not -np.inf < cfg.g_low <= cfg.g_high < np.inf:
-        raise ConfigError(f"need finite g_low <= g_high, got {cfg.g_low} and {cfg.g_high}")
+    if not (-np.inf < cfg.g_low <= cfg.g_high < np.inf and cfg.g_high - cfg.g_low < np.inf):
+        raise ConfigError(f"need finite g_low <= g_high, g_high - g_low finite, "
+                          f"got {cfg.g_low} and {cfg.g_high}")
     _parse_g(cfg.g)
     _parse_q(cfg.q)
     try:  # numeric data validated by the same rules the solves use

@@ -307,8 +307,9 @@ def check_open_problems(
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
-    if not -np.inf < g_low <= g_high < np.inf:
-        raise InvalidParameterError(f"need finite g_low <= g_high, got {g_low} and {g_high}")
+    if not (-np.inf < g_low <= g_high < np.inf and float(g_high) - float(g_low) < np.inf):
+        raise InvalidParameterError(f"need finite g_low <= g_high, g_high - g_low finite, "
+                                    f"got {g_low} and {g_high}")
     rng = np.random.default_rng(seed)
     ev = _Evaluator(mesh, sys, data, family, solver=solver)
     m_h = sys.M_H

@@ -144,7 +144,8 @@ class _Operator:
     dirichlet_values; ``template`` is a full vector holding the pinned
     values; ``lu`` is the LU factor of a_ff on the nodes outside the last
     active mask factored, whose bytes are ``key``.  ``csc``, a CSC copy of
-    a_ff made on the first factor, is what each inactive block is cut from.
+    a_ff and its column counts made on the first factor, is what each
+    inactive block is cut from.  ``zero_bound``: every free lower bound is 0.
     """
 
     def __init__(self, p: VIProblem):
@@ -158,8 +159,11 @@ class _Operator:
             self.shift = a_free[:, p.dirichlet_nodes] @ p.dirichlet_values
             self.template[p.dirichlet_nodes] = p.dirichlet_values
         self.lb_f = p.lower_bound[self.free]
+        self.zero_bound = not self.lb_f.any()
         self.diag = self.a_ff.diagonal()
         self.bad_diagonal = bool(np.any(self.diag <= 0.0))
+        data = (self.a_ff.data, p.lower_bound, self.template, self.shift)
+        self.finite = all(np.isfinite(x).all() for x in data)
         self.key = self.lu = None
 
     @cached_property
@@ -168,9 +172,10 @@ class _Operator:
         return [(c, self.a_ff[c]) for c in _colour_classes(self.a_ff)]
 
     @cached_property
-    def csc(self) -> sp.csc_matrix:
-        """a_ff in CSC form, row indices sorted within each column."""
-        return self.a_ff.tocsc()
+    def csc(self) -> tuple:
+        """a_ff in CSC form, row indices sorted within each column, and its column counts."""
+        a = self.a_ff.tocsc()
+        return a, np.diff(a.indptr)
 
     def free_mask(self, nodes) -> np.ndarray:
         """Which free nodes lie in the node set ``nodes`` (full indices)."""
@@ -189,12 +194,12 @@ class _Operator:
         key = active.tobytes()
         if key != self.key:
             self.key = self.lu = None
-            a, keep = self.csc, ~active
+            (a, counts), keep = self.csc, ~active
             # stored entries in an inactive row and column, in storage order
-            pos = np.flatnonzero(keep.take(a.indices) & np.repeat(keep, np.diff(a.indptr)))
+            pos = (keep.take(a.indices) & keep.repeat(counts)).nonzero()[0]
             starts = a.indptr[np.append(keep, True)]  # of the inactive columns, then nnz
-            indptr = np.searchsorted(pos, starts).astype(a.indices.dtype)
-            new = np.cumsum(keep, dtype=a.indices.dtype) - 1  # block index of each node
+            indptr = pos.searchsorted(starts).astype(a.indices.dtype)
+            new = keep.cumsum(dtype=a.indices.dtype) - 1  # block index of each node
             m = indptr.size - 1
             block = sp.csc_matrix((a.data.take(pos), new.take(a.indices.take(pos)), indptr),
                                   shape=(m, m))
@@ -204,37 +209,45 @@ class _Operator:
 
 
 def _checked_operator(p: VIProblem, tol: float) -> _Operator:
-    """p's free-node reduction, once tol and the free diagonal pass the
-    checks every iterative solve makes."""
+    """p's free-node reduction, once tol, the data and the free diagonal pass
+    the checks every iterative solve makes."""
     if not 0.0 < tol < np.inf:
         raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
     if p._operator.bad_diagonal:
         raise MatrixError("matrix has a non-positive diagonal entry on a free node")
+    if not (p._operator.finite and np.isfinite(p.F).all()):
+        raise InvalidParameterError(
+            "matrix, load, lower bound, Dirichlet trace and its eliminated load must be finite")
     return p._operator
 
 
 def _free_split(p: VIProblem):
-    """Free-node reduction with symmetric load correction for pinned rows."""
+    """Free-node reduction with symmetric load correction for pinned rows, if any."""
     op = p._operator
-    return op.free, op.a_ff, p.F[op.free] - op.shift, op.lb_f, op.template
+    f_f = p.F if op.free.size == p.size else p.F[op.free] - op.shift
+    return op.free, op.a_ff, f_f, op.lb_f, op.template
 
 
-def _complementarity(u_f, lb_f, r) -> float:
-    """Max-norm of min(u - l, r) over the free nodes, r = A u - F."""
-    return float(np.max(np.abs(np.minimum(u_f - lb_f, r)))) if u_f.size else 0.0
+def _complementarity(gap, r) -> float:
+    """Max-norm of min(u - l, r) over the free nodes, gap = u - l, r = A u - F.
+    Finite data whose scale overflows float64 make it inf or NaN: that raises."""
+    res = float(np.abs(np.minimum(gap, r)).max(initial=0.0))
+    if not res < np.inf:
+        raise InvalidParameterError(f"residual {res}: the data overflow float64 arithmetic")
+    return res
 
 
-def _report(p: VIProblem, mesh, free, full, u_f, iterations, residual):
-    full = full.copy()
-    full[free] = u_f
-    active = free[u_f <= p.lower_bound[free]]  # solvers pin bound nodes exactly
+def _report(p: VIProblem, mesh, u_f, iterations, residual):
+    """The report of free values u_f, which it takes over when no node is pinned."""
+    op = p._operator
+    full = u_f
+    if op.free.size < p.size:
+        full = op.template.copy()
+        full[op.free] = u_f
+    active = op.free[u_f <= op.lb_f]  # solvers pin bound nodes exactly; free is sorted
     solution = full if mesh is None else ScalarField(mesh, full)
-    return VIReport(
-        solution=solution,
-        iterations=iterations,
-        residual=residual,
-        active_set=np.sort(active),
-    )
+    return VIReport(solution=solution, iterations=iterations, residual=residual,
+                    active_set=active)
 
 
 def _colour_classes(a: sp.csr_matrix) -> list[np.ndarray]:
@@ -275,24 +288,24 @@ def solve_psor(
     Terminates when the complementarity residual drops below tol.
     """
     op = _checked_operator(p, tol)
-    free, a_ff, f_f, lb_f, full = _free_split(p)
+    free, a_ff, f_f, lb_f, _ = _free_split(p)
     if u0 is None:
         u_f = np.maximum(lb_f, 0.0)
     else:
         u_f = np.maximum(np.asarray(u0, dtype=float)[free], lb_f)
     blocks = [(c, a_c, f_f[c], op.diag[c], lb_f[c]) for c, a_c in op.colour_rows]
     iters, res = 0, np.inf
-    while iters < max_iter and res > tol:
+    while iters < max_iter and not res <= tol:
         iters += 1
         for c, a_c, f_c, d_c, lb_c in blocks:
             u_f[c] = np.maximum(lb_c, u_f[c] + PSOR_OMEGA * ((f_c - a_c @ u_f) / d_c))
-        res = _complementarity(u_f, lb_f, a_ff @ u_f - f_f)
-    if res > tol:
+        res = _complementarity(u_f - lb_f, a_ff @ u_f - f_f)
+    if not res <= tol:
         raise NonConvergenceError(
             f"projected SOR: residual {res:.3e} > tol {tol:.1e} after {iters} sweeps",
             residual=res,
         )
-    return _report(p, mesh, free, full, u_f, iters, res)
+    return _report(p, mesh, u_f, iters, res)
 
 
 def solve_active_set(
@@ -313,11 +326,9 @@ def solve_active_set(
     from that set, and :func:`adjoint_lift` on it, reuse it.
     """
     op = _checked_operator(p, tol)
-    free, a_ff, f_f, lb_f, full = _free_split(p)
+    _, a_ff, f_f, lb_f, _ = _free_split(p)
     active = op.free_mask([] if initial_active is None else initial_active)
-    seen = set()
-    u_f = np.zeros(free.size)
-    res = np.inf
+    seen, res = set(), np.inf
     for it in range(1, max_iter + 1):
         key = active.tobytes()
         if key in seen:
@@ -325,22 +336,19 @@ def solve_active_set(
                 f"active-set method is cycling (residual {res:.3e})", residual=res
             )
         seen.add(key)
-        idx_i = np.flatnonzero(~active)
-        idx_a = np.flatnonzero(active)
-        if idx_i.size:
-            rhs = (f_f - a_ff @ np.where(active, lb_f, 0.0))[idx_i]
-            u_f[idx_i] = op.factor(active).solve(rhs)
-        u_f[idx_a] = lb_f[idx_a]
-        lam = a_ff @ u_f - f_f
-        res = _complementarity(u_f, lb_f, lam)
-        feasible = not idx_i.size or np.min(u_f[idx_i] - lb_f[idx_i]) >= -FEASIBILITY_TOL
-        dual_ok = not idx_a.size or np.min(lam[idx_a]) >= -DUAL_TOL
-        nxt = lam - (u_f - lb_f) > 0.0
+        u_f, inactive = lb_f.copy(), ~active
+        if inactive.any():
+            rhs = f_f if op.zero_bound else f_f - a_ff @ np.where(active, lb_f, 0.0)
+            u_f[inactive] = op.factor(active).solve(rhs[inactive])
+        gap, lam = u_f - lb_f, a_ff @ u_f - f_f  # gap is 0 on active nodes
+        res = _complementarity(gap, lam)
+        feasible = gap.min(initial=0.0) >= -FEASIBILITY_TOL
         if res <= tol and feasible:
-            return _report(p, mesh, free, full, u_f, it, res)
-        if np.array_equal(nxt, active) and feasible and dual_ok:
+            return _report(p, mesh, u_f, it, res)
+        nxt = lam - gap > 0.0
+        if nxt.tobytes() == key and feasible and lam[active].min(initial=0.0) >= -DUAL_TOL:
             # stable set: as converged as the linear algebra allows
-            return _report(p, mesh, free, full, u_f, it, res)
+            return _report(p, mesh, u_f, it, res)
         active = nxt
     raise NonConvergenceError(
         f"active-set method: residual {res:.3e} > tol {tol:.1e} after {max_iter} iterations",
@@ -356,7 +364,7 @@ def solve_enumerate(p: VIProblem, mesh: Mesh | None = None) -> VIReport:
     primal/dual feasibility margin (the unique VI solution up to rounding).
     Exponential; refuses more than ENUMERATE_MAX_FREE free nodes.
     """
-    free, a_ff, f_f, lb_f, full = _free_split(p)
+    free, a_ff, f_f, lb_f, _ = _free_split(p)
     k = free.size
     if k > ENUMERATE_MAX_FREE:
         raise InvalidParameterError(
@@ -383,8 +391,8 @@ def solve_enumerate(p: VIProblem, mesh: Mesh | None = None) -> VIReport:
         if margin > best_margin:
             best_margin = margin
             best_u = u.copy()
-    res = _complementarity(best_u, lb_f, a_ff @ best_u - f_f)
-    return _report(p, mesh, free, full, best_u, 1 << k, res)
+    res = _complementarity(best_u - lb_f, a_ff @ best_u - f_f)
+    return _report(p, mesh, best_u, 1 << k, res)
 
 
 def adjoint_lift(p: VIProblem, active_nodes: np.ndarray, rhs_full: np.ndarray) -> np.ndarray:

@@ -243,3 +243,63 @@ def inactive_block(a_ff, active):
     cut out by scipy's fancy indexing, in CSC form."""
     idx = np.flatnonzero(~active)
     return a_ff[idx][:, idx].tocsc()
+
+
+def reference_active_set(p, tol=1e-10, max_iter=100, initial_active=None):
+    """The primal-dual active-set loop written out plainly: index arrays
+    from ``flatnonzero``, the bound's matvec made on every step, the primal
+    and dual tests evaluated on every step, and the report built from a
+    copied full vector with a sorted active set.
+
+    Shares only the free-node reduction and its LU factor with
+    ``vi_solver.solve_active_set``, so a test can require that solver to
+    give the same bytes.  Returns ``(values, iterations, active_set,
+    residual)``.
+    """
+    from vicontrol.errors import NonConvergenceError
+    from vicontrol.vi_solver import DUAL_TOL, FEASIBILITY_TOL
+
+    op = p._operator
+    free, a_ff, lb_f = op.free, op.a_ff, op.lb_f
+    f_f = p.F[free] - op.shift
+
+    def complementarity(u_f, r):
+        return float(np.max(np.abs(np.minimum(u_f - lb_f, r)))) if u_f.size else 0.0
+
+    def report(u_f, iterations, residual):
+        full = op.template.copy()
+        full[free] = u_f
+        active = free[u_f <= p.lower_bound[free]]
+        return full, iterations, np.sort(active), residual
+
+    active = op.free_mask([] if initial_active is None else initial_active)
+    seen = set()
+    u_f = np.zeros(free.size)
+    res = np.inf
+    for it in range(1, max_iter + 1):
+        key = active.tobytes()
+        if key in seen:
+            raise NonConvergenceError(
+                f"active-set method is cycling (residual {res:.3e})", residual=res
+            )
+        seen.add(key)
+        idx_i = np.flatnonzero(~active)
+        idx_a = np.flatnonzero(active)
+        if idx_i.size:
+            rhs = (f_f - a_ff @ np.where(active, lb_f, 0.0))[idx_i]
+            u_f[idx_i] = op.factor(active).solve(rhs)
+        u_f[idx_a] = lb_f[idx_a]
+        lam = a_ff @ u_f - f_f
+        res = complementarity(u_f, lam)
+        feasible = not idx_i.size or np.min(u_f[idx_i] - lb_f[idx_i]) >= -FEASIBILITY_TOL
+        dual_ok = not idx_a.size or np.min(lam[idx_a]) >= -DUAL_TOL
+        nxt = lam - (u_f - lb_f) > 0.0
+        if res <= tol and feasible:
+            return report(u_f, it, res)
+        if np.array_equal(nxt, active) and feasible and dual_ok:
+            return report(u_f, it, res)
+        active = nxt
+    raise NonConvergenceError(
+        f"active-set method: residual {res:.3e} > tol {tol:.1e} after {max_iter} iterations",
+        residual=res,
+    )

@@ -1,0 +1,107 @@
+"""Property test: the active-set loop gives the bytes of the reference loop
+in ``oracles.reference_active_set``: the same values, iteration count,
+contact set and residual, or the same error, from the same LU factors."""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from oracles import reference_active_set
+from vicontrol import vi_solver
+from vicontrol.assembly import ProblemData, assemble
+from vicontrol.errors import NonConvergenceError
+from vicontrol.mesh import build_unit_square
+from vicontrol.presets import box_control
+from vicontrol.vi_solver import FAMILIES, VIProblem, build_vi_problem, solve_active_set
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+def _assembled(rng, n, family):
+    m = build_unit_square(n)
+    x0, x1, y0, y1 = np.sort(rng.uniform(0.0, 1.0, 4)).take([0, 2, 1, 3])
+    data = ProblemData(alpha=rng.uniform(0.1, 100.0), b=rng.uniform(0.1, 2.0),
+                       q=rng.uniform(-2.0, 2.0), M_cost=1.0,
+                       g=box_control(rng.uniform(-40.0, 5.0), x0, x1, y0, y1))
+    return build_vi_problem(m, assemble(m, data), data, family)
+
+
+def _m_matrix(rng, n):
+    upper = sp.triu(sp.random(n, n, density=0.15, random_state=rng), k=1)
+    off = -(upper + upper.T).tocsr()
+    diag = rng.uniform(0.01, 1.0, n) + np.asarray(abs(off).sum(axis=1)).ravel()
+    return VIProblem(A=(off + sp.diags(diag)).tocsr(), F=rng.uniform(-1.0, 1.0, n),
+                     lower_bound=np.zeros(n))
+
+
+def _pin(rng, p):
+    nodes = np.sort(rng.choice(p.size, size=max(1, p.size // 5), replace=False))
+    values = p.lower_bound[nodes] + rng.uniform(0.0, 1.0, nodes.size)
+    return replace(p, dirichlet_nodes=nodes, dirichlet_values=values)
+
+
+def _mixed_bound(rng, p):
+    lb = rng.uniform(-0.5, 0.5, p.size)
+    if p.dirichlet_nodes is not None:  # keep the trace on or above the obstacle
+        lb[p.dirichlet_nodes] = np.minimum(lb[p.dirichlet_nodes], p.dirichlet_values)
+    return replace(p, lower_bound=lb)
+
+
+def _outcome(solve, p):
+    """What one solve on a fresh reduction of p returns, with the sizes of
+    the blocks it factored."""
+    sizes = []
+
+    def splu(a):
+        sizes.append(a.shape[0])
+        return spla.splu(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vi_solver, "spla", SimpleNamespace(splu=splu))
+        try:
+            result = solve(replace(p))
+        except NonConvergenceError as exc:
+            result = (str(exc), repr(exc.residual))
+    return result, sizes
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    kind=st.sampled_from(["assembled", "m-matrix"]),
+    n=st.integers(2, 8),
+    family=st.sampled_from(FAMILIES),
+    pinned=st.booleans(),
+    bound=st.sampled_from(["zero", "mixed"]),
+    start=st.sampled_from(["cold", "warm", "random"]),
+    tol=st.sampled_from([1e-16, 1e-12, 1e-10, 1e-6]),  # 1e-16: the loop stops on a stable set
+)
+def test_the_active_set_loop_gives_the_reference_bytes(
+        seed, kind, n, family, pinned, bound, start, tol):
+    rng = np.random.default_rng(seed)
+    p = _assembled(rng, n, family) if kind == "assembled" else _m_matrix(rng, 5 * n)
+    if pinned and p.dirichlet_nodes is None:
+        p = _pin(rng, p)
+    if bound == "mixed":
+        p = _mixed_bound(rng, p)
+    initial = None
+    if start == "warm":  # where the solve of a nearby load ended
+        initial = solve_active_set(replace(p, F=0.9 * p.F), tol=tol).active_set
+    elif start == "random":
+        initial = np.flatnonzero(rng.random(p.size) < 0.5)
+
+    def library(q):
+        rep = solve_active_set(q, tol=tol, initial_active=initial)
+        return rep.values().tobytes(), rep.iterations, rep.active_set.tobytes(), rep.residual
+
+    def reference(q):
+        values, iterations, active, residual = reference_active_set(
+            q, tol=tol, initial_active=initial)
+        return values.tobytes(), iterations, active.tobytes(), residual
+
+    assert _outcome(library, p) == _outcome(reference, p)

@@ -224,13 +224,28 @@ def test_a_non_finite_flux_exits_2(tmp_path, capsys, q):
     assert not (out / "state.csv").exists()
 
 
-@pytest.mark.parametrize("setting", [["g_low=nan"], ["g_high=inf"], ["g_low=5", "g_high=1"]])
+@pytest.mark.parametrize("setting", [["g_low=nan"], ["g_high=inf"], ["g_low=5", "g_high=1"],
+                                     ["g_low=-1e308", "g_high=1e308"]])
 def test_a_bad_conjecture_control_range_exits_2(tmp_path, capsys, setting):
     sets = [arg for s in setting for arg in ("--set", s)]
     code = main(["conjecture", "--preset", "contact-v1", "--set", "n=8", "--set", "trials=3",
                  *sets, "--out", str(tmp_path / "run")])
     assert code == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("solver", ["active_set", "psor"])
+@pytest.mark.parametrize("family", ["robin", "dirichlet_limit"])
+def test_data_too_large_for_float64_exits_2(tmp_path, capsys, family, solver):
+    # Robin: alpha * b overflows the load; Dirichlet limit: A u overflows in the solve
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["state", "--preset", "contact-v1", "--set", "n=4", "--set", "b=1e308",
+                     "--set", f"family={family}", "--set", f"solver={solver}",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (out / "state.csv").exists()
 
 
 @pytest.mark.parametrize("command, setting", [

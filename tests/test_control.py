@@ -205,7 +205,7 @@ def test_conjecture_determinism():
 
 
 @pytest.mark.parametrize("low, high", [(np.nan, 10.0), (-np.inf, 10.0), (-30.0, np.inf),
-                                       (5.0, 1.0)])
+                                       (5.0, 1.0), (-1e308, 1e308)])
 def test_conjecture_rejects_a_bad_control_range(low, high):
     m = build_unit_square(2)
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)

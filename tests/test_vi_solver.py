@@ -17,12 +17,13 @@ from vicontrol.assembly import (
     coercivity_constant,
     norm_H,
     norm_V,
+    robin_matrix,
 )
 from vicontrol.control import cost
 from vicontrol.errors import InvalidParameterError, MatrixError, NonConvergenceError
 from vicontrol.mesh import ScalarField, build_unit_square, prolongate
 from vicontrol.presets import box_control
-from oracles import inactive_block
+from oracles import contact_candidates, enumerate_vi_dense, inactive_block
 from vicontrol.vi_solver import (
     DIRICHLET_LIMIT,
     ROBIN,
@@ -199,6 +200,68 @@ def test_psor_nonconvergence_carries_residual():
     with pytest.raises(NonConvergenceError) as info:
         solve_psor(p, tol=1e-14, max_iter=2)
     assert info.value.residual is not None and info.value.residual > 1e-14
+
+
+def _dirichlet_problem(b, gamma1="bottom"):
+    m = build_unit_square(4, gamma1)
+    data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0, g=-20.0)
+    p = build_vi_problem(m, assemble(m, data), data, DIRICHLET_LIMIT)
+    return replace(p, dirichlet_values=np.full(p.dirichlet_nodes.size, b))
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: replace(p, F=np.where(np.arange(p.size) == 3, np.inf, p.F)),
+    lambda p: replace(p, F=np.full(p.size, np.nan)),
+    lambda p: replace(p, lower_bound=np.where(np.arange(p.size) == 3, -np.inf, 0.0)),
+    lambda p: replace(p, A=p.A.multiply(np.where(p.A.toarray() < 0, np.inf, 1.0)).tocsr()),
+    lambda p: _dirichlet_problem(np.inf),
+    # node (h, h) couples to two pinned nodes, so A[free][:, pinned] @ b overflows
+    lambda p: _dirichlet_problem(1.7e308, "bottom,left"),
+], ids=["inf-load", "nan-load", "bound", "matrix", "trace", "trace-shift"])
+@pytest.mark.parametrize("solve", [solve_psor, solve_active_set])
+def test_non_finite_data_is_rejected_before_the_first_step(solve, make):
+    # a NaN residual fails every "res > tol" test, so PSOR used to return
+    # inf/NaN values after one sweep and PDAS reported cycling
+    m, sys, data = contact_problem(n=4)
+    p = make(build_vi_problem(m, sys, data, ROBIN))
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        solve(p)
+
+
+@pytest.mark.parametrize("solve", [solve_psor, solve_active_set])
+@pytest.mark.parametrize("make", [
+    lambda p: replace(p, F=np.full(p.size, 1.7e308)),
+    lambda p: _dirichlet_problem(1e308),  # the solution is near 1e308, and 4u overflows in A u
+], ids=["load", "trace"])
+def test_finite_data_that_overflow_in_a_solve_are_rejected(solve, make):
+    m, sys, data = contact_problem(n=4)
+    p = make(build_vi_problem(m, sys, data, ROBIN))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            solve(p)
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_a_mixed_sign_obstacle_matches_the_enumeration_oracle(family):
+    # the only problems whose inactive right-hand side carries the bound's term
+    rng = np.random.default_rng(5)
+    m, sys, data = contact_problem(n=3)
+    lb = rng.uniform(-0.3, 0.3, m.node_count)
+    F = sys.M_H @ rng.uniform(-30.0, 5.0, m.node_count)
+    nodes = values = None
+    if family == ROBIN:
+        a = robin_matrix(sys, 2.0)
+    else:
+        a, nodes = sys.K.tocsr(), m.gamma1_nodes()
+        values = lb[nodes] + 0.2  # a trace above the obstacle
+    p = VIProblem(A=a, F=F, lower_bound=lb, dirichlet_nodes=nodes, dirichlet_values=values)
+    dense = a.toarray()
+    oracle = enumerate_vi_dense(dense, F, lb, nodes, values,
+                                candidates=contact_candidates(dense, F, lb, nodes, values))
+    for rep in (solve_active_set(p), solve_psor(p, tol=1e-13)):
+        assert rep.active_set.size > 0
+        assert np.any(lb[rep.active_set] < 0.0) and np.any(lb[rep.active_set] > 0.0)
+        assert np.max(np.abs(rep.values() - oracle)) <= 1e-10
 
 
 def test_non_positive_diagonal_detected():
