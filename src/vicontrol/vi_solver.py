@@ -82,7 +82,8 @@ FEASIBILITY_TOL = 1e-12
 class VIProblem:
     """Obstacle problem data: matrix, load, lower bound, optional trace.
 
-    Do not change the arrays in place; the free-node reduction is memoized.
+    A lower bound of -inf leaves its node unconstrained.  Do not change
+    the arrays in place; the free-node reduction is memoized.
     """
 
     A: sp.csr_matrix
@@ -144,8 +145,7 @@ class _Operator:
     dirichlet_values; ``template`` is a full vector holding the pinned
     values; ``lu`` is the LU factor of a_ff on the nodes outside the last
     active mask factored, whose bytes are ``key``.  ``csc``, a CSC copy of
-    a_ff and its column counts made on the first factor, is what each
-    inactive block is cut from.  ``zero_bound``: every free lower bound is 0.
+    a_ff made on the first factor, is what each inactive block is cut from.
     """
 
     def __init__(self, p: VIProblem):
@@ -159,11 +159,10 @@ class _Operator:
             self.shift = a_free[:, p.dirichlet_nodes] @ p.dirichlet_values
             self.template[p.dirichlet_nodes] = p.dirichlet_values
         self.lb_f = p.lower_bound[self.free]
-        self.zero_bound = not self.lb_f.any()
         self.diag = self.a_ff.diagonal()
         self.bad_diagonal = bool(np.any(self.diag <= 0.0))
-        data = (self.a_ff.data, p.lower_bound, self.template, self.shift)
-        self.finite = all(np.isfinite(x).all() for x in data)
+        data = (self.a_ff.data, self.template, self.shift)
+        self.finite = all(np.isfinite(x).all() for x in data) and (self.lb_f < np.inf).all()
         self.key = self.lu = None
 
     @cached_property
@@ -172,10 +171,9 @@ class _Operator:
         return [(c, self.a_ff[c]) for c in _colour_classes(self.a_ff)]
 
     @cached_property
-    def csc(self) -> tuple:
-        """a_ff in CSC form, row indices sorted within each column, and its column counts."""
-        a = self.a_ff.tocsc()
-        return a, np.diff(a.indptr)
+    def csc(self) -> sp.csc_matrix:
+        """a_ff in CSC form, row indices sorted within each column."""
+        return self.a_ff.tocsc()
 
     def free_mask(self, nodes) -> np.ndarray:
         """Which free nodes lie in the node set ``nodes`` (full indices)."""
@@ -194,9 +192,9 @@ class _Operator:
         key = active.tobytes()
         if key != self.key:
             self.key = self.lu = None
-            (a, counts), keep = self.csc, ~active
+            a, keep = self.csc, ~active
             # stored entries in an inactive row and column, in storage order
-            pos = (keep.take(a.indices) & keep.repeat(counts)).nonzero()[0]
+            pos = (keep.take(a.indices) & keep.repeat(np.diff(a.indptr))).nonzero()[0]
             starts = a.indptr[np.append(keep, True)]  # of the inactive columns, then nnz
             indptr = pos.searchsorted(starts).astype(a.indices.dtype)
             new = keep.cumsum(dtype=a.indices.dtype) - 1  # block index of each node
@@ -215,39 +213,40 @@ def _checked_operator(p: VIProblem, tol: float) -> _Operator:
         raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
     if p._operator.bad_diagonal:
         raise MatrixError("matrix has a non-positive diagonal entry on a free node")
-    if not (p._operator.finite and np.isfinite(p.F).all()):
-        raise InvalidParameterError(
-            "matrix, load, lower bound, Dirichlet trace and its eliminated load must be finite")
+    if not (p._operator.finite and np.isfinite(p.F[p._operator.free]).all()):
+        raise InvalidParameterError("matrix, load, Dirichlet trace and its eliminated load "
+                                    "must be finite, and the lower bound below +inf")
     return p._operator
 
 
 def _free_split(p: VIProblem):
-    """Free-node reduction with symmetric load correction for pinned rows, if any."""
+    """Free-node reduction with symmetric load correction for pinned rows."""
     op = p._operator
-    f_f = p.F if op.free.size == p.size else p.F[op.free] - op.shift
-    return op.free, op.a_ff, f_f, op.lb_f, op.template
+    return op.free, op.a_ff, p.F[op.free] - op.shift, op.lb_f, op.template
 
 
 def _complementarity(gap, r) -> float:
     """Max-norm of min(u - l, r) over the free nodes, gap = u - l, r = A u - F.
-    Finite data whose scale overflows float64 make it inf or NaN: that raises."""
+    It is inf or NaN only when the iterate overflows float64 (data too large,
+    or a matrix that is not positive definite): that raises."""
     res = float(np.abs(np.minimum(gap, r)).max(initial=0.0))
     if not res < np.inf:
-        raise InvalidParameterError(f"residual {res}: the data overflow float64 arithmetic")
+        raise InvalidParameterError(f"residual {res}: the iterate overflows float64")
     return res
 
 
 def _report(p: VIProblem, mesh, u_f, iterations, residual):
-    """The report of free values u_f, which it takes over when no node is pinned."""
     op = p._operator
-    full = u_f
-    if op.free.size < p.size:
-        full = op.template.copy()
-        full[op.free] = u_f
+    full = op.template.copy()
+    full[op.free] = u_f
     active = op.free[u_f <= op.lb_f]  # solvers pin bound nodes exactly; free is sorted
     solution = full if mesh is None else ScalarField(mesh, full)
-    return VIReport(solution=solution, iterations=iterations, residual=residual,
-                    active_set=active)
+    return VIReport(
+        solution=solution,
+        iterations=iterations,
+        residual=residual,
+        active_set=active,
+    )
 
 
 def _colour_classes(a: sp.csr_matrix) -> list[np.ndarray]:
@@ -328,7 +327,8 @@ def solve_active_set(
     op = _checked_operator(p, tol)
     _, a_ff, f_f, lb_f, _ = _free_split(p)
     active = op.free_mask([] if initial_active is None else initial_active)
-    seen, res = set(), np.inf
+    seen = set()
+    res = np.inf
     for it in range(1, max_iter + 1):
         key = active.tobytes()
         if key in seen:
@@ -336,11 +336,13 @@ def solve_active_set(
                 f"active-set method is cycling (residual {res:.3e})", residual=res
             )
         seen.add(key)
-        u_f, inactive = lb_f.copy(), ~active
+        inactive = ~active
+        u_f = lb_f.copy()
         if inactive.any():
-            rhs = f_f if op.zero_bound else f_f - a_ff @ np.where(active, lb_f, 0.0)
-            u_f[inactive] = op.factor(active).solve(rhs[inactive])
-        gap, lam = u_f - lb_f, a_ff @ u_f - f_f  # gap is 0 on active nodes
+            rhs = (f_f - a_ff @ np.where(active, lb_f, 0.0))[inactive]
+            u_f[inactive] = op.factor(active).solve(rhs)
+        gap = u_f - lb_f  # 0 on active nodes
+        lam = a_ff @ u_f - f_f
         res = _complementarity(gap, lam)
         feasible = gap.min(initial=0.0) >= -FEASIBILITY_TOL
         if res <= tol and feasible:
@@ -446,7 +448,9 @@ def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | Non
     projected-Jacobi sweeps, and the active-set update rule is read off it;
     for n >= TWO_LEVEL_MIN that set takes one :func:`_two_level_step`.
     None (cold start) if n is None, odd or < 2 NESTED_MIN, if p has a
-    non-positive free diagonal entry, or on a coarse NonConvergenceError."""
+    non-positive free diagonal entry, or when the coarse solve raises
+    NonConvergenceError or InvalidParameterError (its Galerkin load sums
+    several fine entries, so it can overflow where p's does not)."""
     if n is None or n % 2 or n // 2 < NESTED_MIN or p._operator.bad_diagonal:
         return None
     nc = n // 2
@@ -461,7 +465,7 @@ def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | Non
                    dirichlet_nodes=nodes, dirichlet_values=values)
     try:
         u_c = solve_active_set(pc, tol=tol, initial_active=_coarse_contact(pc, nc, tol))
-    except NonConvergenceError:
+    except (NonConvergenceError, InvalidParameterError):
         return None
     free, a_ff, f_f, lb_f, _ = _free_split(p)
     diag = p._operator.diag

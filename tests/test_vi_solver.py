@@ -212,12 +212,13 @@ def _dirichlet_problem(b, gamma1="bottom"):
 @pytest.mark.parametrize("make", [
     lambda p: replace(p, F=np.where(np.arange(p.size) == 3, np.inf, p.F)),
     lambda p: replace(p, F=np.full(p.size, np.nan)),
-    lambda p: replace(p, lower_bound=np.where(np.arange(p.size) == 3, -np.inf, 0.0)),
+    lambda p: replace(p, lower_bound=np.where(np.arange(p.size) == 3, np.inf, 0.0)),
+    lambda p: replace(p, lower_bound=np.where(np.arange(p.size) == 3, np.nan, 0.0)),
     lambda p: replace(p, A=p.A.multiply(np.where(p.A.toarray() < 0, np.inf, 1.0)).tocsr()),
     lambda p: _dirichlet_problem(np.inf),
     # node (h, h) couples to two pinned nodes, so A[free][:, pinned] @ b overflows
     lambda p: _dirichlet_problem(1.7e308, "bottom,left"),
-], ids=["inf-load", "nan-load", "bound", "matrix", "trace", "trace-shift"])
+], ids=["inf-load", "nan-load", "inf-bound", "nan-bound", "matrix", "trace", "trace-shift"])
 @pytest.mark.parametrize("solve", [solve_psor, solve_active_set])
 def test_non_finite_data_is_rejected_before_the_first_step(solve, make):
     # a NaN residual fails every "res > tol" test, so PSOR used to return
@@ -239,6 +240,37 @@ def test_finite_data_that_overflow_in_a_solve_are_rejected(solve, make):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InvalidParameterError, match="overflow"):
             solve(p)
+
+
+@pytest.mark.parametrize("solve", [solve_psor, solve_active_set])
+def test_a_minus_infinite_bound_leaves_a_node_unconstrained(solve):
+    # l = -inf is no obstacle: the same bytes as a bound the solution never reaches
+    m, sys, data = contact_problem(n=4)
+    p = build_vi_problem(m, sys, data, ROBIN)
+    touching = solve(p).active_set
+    assert touching.size > 2
+    lb = p.lower_bound.copy()
+    lb[touching[::2]] = -np.inf
+    rep = solve(replace(p, lower_bound=lb))
+    far = solve(replace(p, lower_bound=np.where(np.isinf(lb), -1e6, lb)))
+    assert np.all(rep.values()[touching[::2]] < 0.0)
+    assert rep.values().tobytes() == far.values().tobytes()
+    assert rep.active_set.tobytes() == far.active_set.tobytes()
+
+
+def test_a_coarse_load_that_overflows_leaves_the_fine_solve_to_its_own_data():
+    # the Galerkin coarse load P^T F sums up to four fine entries, so it
+    # overflows here while the fine load stays finite; the nested start
+    # falls back to None instead of raising the coarse problem's error
+    m, sys, data = contact_problem(n=16)
+    p = build_vi_problem(m, sys, data, ROBIN)
+    x, y = m.nodes.T
+    region = np.flatnonzero((abs(x - 0.5) < 0.2) & (abs(y - 0.5) < 0.2))
+    p = replace(p, F=np.where(np.isin(np.arange(p.size), region), -1e308, p.F))
+    assert vi_solver._coarse_contact(p, 16, 1e-10) is None
+    rep = solve_active_set(p, initial_active=region)
+    assert np.isfinite(rep.values()).all() and rep.residual <= 1e-10
+    assert np.isin(region, rep.active_set).all()
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
