@@ -213,10 +213,13 @@ def load_vector(sys: AssembledSystem, data: ProblemData) -> np.ndarray:
     if data.alpha is None:
         raise InvalidParameterError("Robin load requires alpha > 0")
     g = as_control_field(sys.mesh, data.g)
+    alpha_b = float(data.alpha * data.b)
+    if not np.isfinite(alpha_b):
+        raise InvalidParameterError(f"alpha * b must be finite, got {alpha_b}")
     return (
         sys.M_H @ g.values
         - _gamma2_flux_load(sys.mesh, data.q)
-        + data.alpha * data.b * _gamma1_unit_load(sys.mesh)
+        + alpha_b * _gamma1_unit_load(sys.mesh)
     )
 
 

@@ -261,6 +261,8 @@ def alpha_sweep_state(
     session supplies gamma1, solver and tol, as in :func:`h_sweep_state`.
     """
     alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise InvalidParameterError("alpha sweep needs at least one alpha")
     if any(a <= 1.0 for a in alphas):
         raise InvalidParameterError("alpha sweep requires alpha > 1")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):

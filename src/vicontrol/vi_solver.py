@@ -74,7 +74,6 @@ JACOBI_OMEGA = 2.0 / 3.0
 TWO_LEVEL_MIN = 128
 TWO_LEVEL_TOL = 1e-6
 TWO_LEVEL_MAX_ITER = 30
-DUAL_TOL = 1e-12
 FEASIBILITY_TOL = 1e-12
 
 
@@ -145,7 +144,7 @@ class _Operator:
     dirichlet_values; ``template`` is a full vector holding the pinned
     values; ``lu`` is the LU factor of a_ff on the nodes outside the last
     active mask factored, whose bytes are ``key``.  ``csc``, a CSC copy of
-    a_ff made on the first factor, is what each inactive block is cut from.
+    a_ff made on the first :meth:`block`, is what each block is cut from.
     """
 
     def __init__(self, p: VIProblem):
@@ -181,27 +180,28 @@ class _Operator:
         mask[np.asarray(nodes, dtype=np.int64)] = True
         return mask[self.free]
 
-    def factor(self, active: np.ndarray):
-        """LU of a_ff on the nodes outside ``active``; only the last is kept.
+    def block(self, active: np.ndarray) -> sp.csc_matrix:
+        """a_ff on the nodes outside ``active``: the entries of ``csc`` whose
+        row and column are both inactive, renumbered in order, so its arrays
+        are those of ``a_ff[idx][:, idx].tocsc()``."""
+        a, keep = self.csc, ~active
+        # stored entries in an inactive row and column, in storage order
+        pos = (keep.take(a.indices) & keep.repeat(np.diff(a.indptr))).nonzero()[0]
+        starts = a.indptr[np.append(keep, True)]  # of the inactive columns, then nnz
+        indptr = pos.searchsorted(starts).astype(a.indices.dtype)
+        new = keep.cumsum(dtype=a.indices.dtype) - 1  # block index of each node
+        m = indptr.size - 1
+        return sp.csc_matrix((a.data.take(pos), new.take(a.indices.take(pos)), indptr),
+                             shape=(m, m))
 
-        The block keeps the entries of ``csc`` whose row and column are both
-        inactive, renumbered in order, so its arrays are those of
-        ``a_ff[idx][:, idx].tocsc()``.  The old factor is dropped before the
-        next one is made, so one operator never holds two.
-        """
+    def factor(self, active: np.ndarray):
+        """LU of :meth:`block` of ``active``; only the last is kept.  The old
+        factor is dropped before the next one is made, so one operator never
+        holds two."""
         key = active.tobytes()
         if key != self.key:
             self.key = self.lu = None
-            a, keep = self.csc, ~active
-            # stored entries in an inactive row and column, in storage order
-            pos = (keep.take(a.indices) & keep.repeat(np.diff(a.indptr))).nonzero()[0]
-            starts = a.indptr[np.append(keep, True)]  # of the inactive columns, then nnz
-            indptr = pos.searchsorted(starts).astype(a.indices.dtype)
-            new = keep.cumsum(dtype=a.indices.dtype) - 1  # block index of each node
-            m = indptr.size - 1
-            block = sp.csc_matrix((a.data.take(pos), new.take(a.indices.take(pos)), indptr),
-                                  shape=(m, m))
-            self.lu = spla.splu(block)
+            self.lu = spla.splu(self.block(active))
             self.key = key
         return self.lu
 
@@ -348,7 +348,7 @@ def solve_active_set(
         if res <= tol and feasible:
             return _report(p, mesh, u_f, it, res)
         nxt = lam - gap > 0.0
-        if nxt.tobytes() == key and feasible and lam[active].min(initial=0.0) >= -DUAL_TOL:
+        if nxt.tobytes() == key and feasible:
             # stable set: as converged as the linear algebra allows
             return _report(p, mesh, u_f, it, res)
         active = nxt
@@ -480,35 +480,24 @@ def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | Non
 
 def _two_level_step(op: _Operator, f_f, u_f, active, P, op_c: _Operator) -> np.ndarray:
     """The active-set update of ``active`` (a mask of op's free nodes) with
-    its inactive system solved by ``scipy.sparse.linalg.cg`` from u_f,
-    preconditioned by D_I^-1 + P_I A_c^-1 P_I^T: D_I the inactive diagonal,
-    A_c^-1 the last LU of the coarse operator op_c and P_I the prolongation
-    P truncated to the inactive nodes of both grids.  ``active`` itself when
-    op_c holds no factor, or unless cg reports success and the true relative
-    residual is at most TWO_LEVEL_TOL (a non-finite value fails that test)."""
+    its inactive system, ``op.block``, solved by ``scipy.sparse.linalg.cg``
+    from u_f and preconditioned by D_I^-1 + P_I A_c^-1 P_I^T: D_I its
+    diagonal, A_c^-1 the last LU of the coarse operator op_c and P_I the
+    prolongation P cut to the inactive nodes of both grids.  ``active`` itself
+    when op_c holds no factor, or unless cg reports success and the true
+    relative residual is at most TWO_LEVEL_TOL (a non-finite value fails)."""
     if op_c.lu is None:
         return active
     a_ff, lb_f, idx = op.a_ff, op.lb_f, np.flatnonzero(~active)
-    rows, cols = op.free[idx], op_c.free[~np.frombuffer(op_c.key, dtype=bool)]
-    fine, coarse, w = np.zeros(P.shape[0]), np.zeros(P.shape[1]), np.zeros(lb_f.size)
-    d_inv = 1.0 / op.diag[idx]
-
-    def precondition(r):
-        fine[rows] = r
-        coarse[cols] = op_c.lu.solve((P.T @ fine)[cols])
-        return d_inv * r + (P @ coarse)[rows]
-
-    def a_ii(x):
-        w[idx] = x
-        return (a_ff @ w)[idx]
-
+    A, d_inv = op.block(active), 1.0 / op.diag[idx]
+    P_I = P[op.free[idx]][:, op_c.free[~np.frombuffer(op_c.key, dtype=bool)]]
+    M = LinearOperator(A.shape, dtype=float,
+                       matvec=lambda r: d_inv * r + P_I @ op_c.lu.solve(P_I.T @ r))
     u = np.where(active, lb_f, 0.0)
     b = (f_f - a_ff @ u)[idx]
-    A, M = (LinearOperator((idx.size, idx.size), matvec=f, dtype=float)
-            for f in (a_ii, precondition))
     x, info = cg(A, b, u_f[idx], rtol=TWO_LEVEL_TOL, maxiter=TWO_LEVEL_MAX_ITER, M=M)
     # cg reports success untried at maxiter 0, and has no breakdown test
-    if info or not np.linalg.norm(b - a_ii(x)) <= TWO_LEVEL_TOL * np.linalg.norm(b):
+    if info or not np.linalg.norm(b - A @ x) <= TWO_LEVEL_TOL * np.linalg.norm(b):
         return active
     u[idx] = x
     return a_ff @ u - f_f > u - lb_f

@@ -245,6 +245,9 @@ def inactive_block(a_ff, active):
     return a_ff[idx][:, idx].tocsc()
 
 
+DUAL_TOL = 1e-12  # the reference loop's own dual-sign test on the active nodes
+
+
 def reference_active_set(p, tol=1e-10, max_iter=100, initial_active=None):
     """The primal-dual active-set loop written out plainly: index arrays
     from ``flatnonzero``, the bound's matvec made on every step, the primal
@@ -257,7 +260,7 @@ def reference_active_set(p, tol=1e-10, max_iter=100, initial_active=None):
     residual)``.
     """
     from vicontrol.errors import NonConvergenceError
-    from vicontrol.vi_solver import DUAL_TOL, FEASIBILITY_TOL
+    from vicontrol.vi_solver import FEASIBILITY_TOL
 
     op = p._operator
     free, a_ff, lb_f = op.free, op.a_ff, op.lb_f

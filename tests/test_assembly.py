@@ -174,6 +174,14 @@ def test_full_load_matches_quadrature_oracle():
     np.testing.assert_allclose(f, oracle, atol=1e-12)
 
 
+def test_a_load_that_overflows_float64_raises():
+    # alpha * b rounds to inf, and inf times the zero entries off gamma1 would be NaN
+    m = build_unit_square(4)
+    data = ProblemData(alpha=2.0, b=1e308, q=1.0, M_cost=1.0, g=0.0)
+    with pytest.raises(InvalidParameterError):
+        load_vector(assemble(m, data), data)
+
+
 def test_load_affine_in_control():
     m = build_unit_square(3)
     rng = np.random.default_rng(3)

@@ -127,6 +127,16 @@ def test_sweep_alpha_insufficient_rows_exits_4(tmp_path):
     assert code == 4
 
 
+def test_sweep_alpha_with_no_alphas_exits_2(tmp_path, capsys):
+    # an empty list used to exit 0 with two PASS lines over a table of no rows
+    out = tmp_path / "run"
+    code = main(["sweep-alpha", "--preset", "contact-v1", "--set", "n=4",
+                 "--set", "alphas=", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (out / "summary.txt").exists()
+
+
 def test_sweep_alpha_contact_passes(tmp_path):
     out = tmp_path / "run"
     alphas = ",".join(str(2 ** k) for k in range(1, 9))

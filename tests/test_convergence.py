@@ -89,6 +89,8 @@ def test_alpha_sweep_trace_rate_and_v_monotonicity():
 def test_alpha_sweep_rejects_small_alpha():
     with pytest.raises(InvalidParameterError):
         alpha_sweep_state(contact_data(), 4, [0.5, 2.0, 4.0])
+    with pytest.raises(InvalidParameterError):
+        alpha_sweep_state(contact_data(), 4, [])
 
 
 def test_quiet_alpha_sweep_is_zero():
