@@ -240,12 +240,12 @@ def interpolate(mesh: Mesh, f: Callable[[float, float], float]) -> ScalarField:
 
     Reproduces affine functions (and any member of the P1 space) exactly.
     """
-    nodes = mesh.nodes.tolist()
-    values = np.array([f(x, y) for x, y in nodes], dtype=float)
+    xs, ys = mesh.nodes.T.tolist()  # two flat lists: no list per node for the gc to track
+    values = np.array([f(x, y) for x, y in zip(xs, ys)], dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
-        x, y = nodes[i]
+        x, y = xs[i], ys[i]
         raise EvaluationError(f"f({x}, {y}) = {float(values[i])!r} at node {i} is not finite")
     return ScalarField(mesh, values)
 
@@ -355,6 +355,6 @@ def write_mesh(mesh: Mesh, path) -> None:
 
 
 def format_rows(fmt: str, *columns: np.ndarray) -> list[str]:
-    """``fmt % row`` for each row of the columns stacked side by side; the
-    rows go through ``tolist``, so ``%.17g`` prints a float round-trip."""
-    return [fmt % tuple(row) for row in np.column_stack(columns).tolist()]
+    """``fmt % row`` for each row of the columns side by side, zipped from one
+    flat ``tolist`` per column, so ``%.17g`` prints a float round-trip."""
+    return [fmt % row for row in zip(*np.column_stack(columns).T.tolist())]

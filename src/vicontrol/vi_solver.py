@@ -9,10 +9,10 @@ Two systems are covered, selected by ``family``:
 
 Complementarity is measured nodewise as min(u_i - l_i, (A u - F)_i); its
 max-norm is zero exactly at the solution.  Two independent algorithms are
-provided (projected SOR and a primal-dual active-set method) plus a
-brute-force active-set enumeration oracle for small problems.  Dirichlet
-constraints are imposed by row/column elimination with symmetric load
-correction, which preserves symmetry for both algorithms.
+provided, projected SOR (relaxed by Young's optimal factor on a structured
+grid, else by PSOR_OMEGA) and a primal-dual active-set method, plus a
+brute-force enumeration oracle for small problems.  Dirichlet rows and
+columns are eliminated with symmetric load correction, keeping A symmetric.
 
 Each problem reduces itself to its free nodes once, on first use, and
 :meth:`VIProblem.with_load` shares the reduction with the same VI under
@@ -283,10 +283,13 @@ def solve_psor(
     Sweeps the colour classes of the free-node matrix graph in order (see
     :func:`_colour_classes`); the rows of one class do not couple, so each
     class takes its Gauss-Seidel update at once.  The update is relaxed by
-    PSOR_OMEGA and projected onto the obstacle, so iterates stay feasible.
-    Terminates when the complementarity residual drops below tol.
+    Young's 2 / (1 + sin(pi / max(n, 2))) on a structured mesh of n divisions,
+    else by PSOR_OMEGA, and projected onto the obstacle, so iterates stay
+    feasible.  Terminates when the complementarity residual drops below tol.
     """
     op = _checked_operator(p, tol)
+    n = getattr(mesh, "division_count", None)  # None without a structured grid
+    omega = PSOR_OMEGA if n is None else 2.0 / (1.0 + np.sin(np.pi / max(n, 2)))
     free, a_ff, f_f, lb_f, _ = _free_split(p)
     if u0 is None:
         u_f = np.maximum(lb_f, 0.0)
@@ -297,7 +300,7 @@ def solve_psor(
     while iters < max_iter and not res <= tol:
         iters += 1
         for c, a_c, f_c, d_c, lb_c in blocks:
-            u_f[c] = np.maximum(lb_c, u_f[c] + PSOR_OMEGA * ((f_c - a_c @ u_f) / d_c))
+            u_f[c] = np.maximum(lb_c, u_f[c] + omega * ((f_c - a_c @ u_f) / d_c))
         res = _complementarity(u_f - lb_f, a_ff @ u_f - f_f)
     if not res <= tol:
         raise NonConvergenceError(

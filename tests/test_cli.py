@@ -299,3 +299,20 @@ def test_sweep_alpha_honours_gamma1_and_solver(tmp_path):
     tables = alpha_sweep_state(data, 8, [a for a, _ in chosen], session=session)
     assert [e for _, e in chosen] == tables["R"].errors().tolist()
     assert chosen != trace_rows()
+
+
+@pytest.mark.parametrize("family", ["robin", "dirichlet_limit"])
+def test_psor_passes_the_cross_check_at_n64(tmp_path, family):
+    # relaxed by 1.5, PSOR stopped 2.9e-9 from PDAS here, beyond the 10 * tol check
+    code = main(["state", "--preset", "contact-v1", "--set", "n=64", "--set", "solver=psor",
+                 "--set", f"family={family}", "--cross-check", "--out", str(tmp_path / "x")])
+    assert code == 0
+
+
+@pytest.mark.parametrize("family", ["robin", "dirichlet_limit"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_psor_converges_on_the_coarsest_grids(tmp_path, family, n):
+    # Young's factor 2 / (1 + sin(pi / n)) would be 2 at n = 1, where SOR stalls
+    code = main(["state", "--set", f"n={n}", "--set", "solver=psor",
+                 "--set", f"family={family}", "--out", str(tmp_path / "x")])
+    assert code == 0

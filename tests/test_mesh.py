@@ -13,6 +13,7 @@ from vicontrol.mesh import (
     _prolongation,
     build_unit_square,
     constant_field,
+    format_rows,
     interpolate,
     prolongate,
     refine_uniform,
@@ -222,3 +223,14 @@ def test_mesh_export_format(tmp_path):
     # node lines parse back to the coordinates
     coords = [tuple(map(float, ln.split())) for ln in lines[1:5]]
     np.testing.assert_array_equal(np.array(coords), m.nodes)
+
+
+def test_format_rows_prints_what_the_row_lists_printed():
+    m = build_unit_square(3)
+    u = np.linspace(-1.0, 1.0, m.node_count)
+    u[[0, 5, 7]] = [-0.0, 1e-300, -5e-324]
+    for fmt, columns in [("%.17g,%.17g,%.17g", (m.nodes, u)), ("%d %d %d", (m.triangles,)),
+                         ("%.17g", (u,)), ("%d %d", (m.gamma1_edges[:0],))]:
+        old = [fmt % tuple(row) for row in np.column_stack(columns).tolist()]
+        assert format_rows(fmt, *columns) == old
+    assert format_rows("%.17g,%.17g,%.17g", m.nodes, u)[0] == "0,0,-0"

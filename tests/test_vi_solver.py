@@ -694,3 +694,14 @@ def test_a_control_field_on_an_equal_mesh_is_accepted(family):
     other = replace(data, g=ScalarField(build_unit_square(8, "left"), g.values))
     with pytest.raises(InvalidParameterError, match="different mesh"):
         solve_state(m, sys, other, family)
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_psor_sweeps_grow_like_one_over_h(family):
+    # optimal over-relaxation takes O(1/h) sweeps (83 -> 154 Robin from n = 24
+    # to 48); a fixed factor of 1.5 took O(1/h^2), 187 -> 777
+    sweeps = []
+    for n in (24, 48):
+        m, sys, data = contact_problem(n=n, g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
+        sweeps.append(solve_psor(build_vi_problem(m, sys, data, family), mesh=m).iterations)
+    assert sweeps[1] <= 2.5 * sweeps[0]
