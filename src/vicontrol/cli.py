@@ -509,16 +509,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Obstacle-constrained state solves, control optimization, "
                     "and convergence studies on the unit square.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", metavar="FILE", default=None)
-        p.add_argument("--set", metavar="k=v", action="append", default=[])
-        p.add_argument("--out", metavar="DIR", default=None)
-        p.add_argument("--preset", metavar="NAME", default="")
-        p.add_argument("--dump-mesh", action="store_true", dest="dump_mesh")
-        p.add_argument("--seed", metavar="N", type=int, default=None)
-        p.add_argument("--cross-check", action="store_true", dest="cross_check")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", metavar="FILE", default=None)
+    parser.add_argument("--set", metavar="k=v", action="append", default=[])
+    parser.add_argument("--out", metavar="DIR", default=None)
+    parser.add_argument("--preset", metavar="NAME", default="")
+    parser.add_argument("--dump-mesh", action="store_true", dest="dump_mesh")
+    parser.add_argument("--seed", metavar="N", type=int, default=None)
+    parser.add_argument("--cross-check", action="store_true", dest="cross_check")
     return parser
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vicontrol.assembly import ProblemData
-from vicontrol.cli import main
+from vicontrol.cli import _build_parser, main
 from vicontrol.convergence import StudySession, alpha_sweep_state
 from vicontrol.presets import box_control
 
@@ -316,3 +316,24 @@ def test_psor_converges_on_the_coarsest_grids(tmp_path, family, n):
     code = main(["state", "--set", f"n={n}", "--set", "solver=psor",
                  "--set", f"family={family}", "--out", str(tmp_path / "x")])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["--preset", "contact-v1"]])
+def test_a_missing_or_unknown_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_every_option_parses_to_its_namespace_entry():
+    parser = _build_parser()
+    args = parser.parse_args(["optimize", "--config", "c.txt", "--set", "n=4", "--set", "b=2",
+                              "--out", "dir", "--preset", "contact-v1", "--dump-mesh",
+                              "--seed", "7", "--cross-check"])
+    assert vars(args) == dict(command="optimize", config="c.txt", set=["n=4", "b=2"],
+                              out="dir", preset="contact-v1", dump_mesh=True, seed=7,
+                              cross_check=True)
+    assert vars(parser.parse_args(["state"])) == dict(
+        command="state", config=None, set=[], out=None, preset="", dump_mesh=False,
+        seed=None, cross_check=False)

@@ -10,6 +10,7 @@ from vicontrol.mesh import (
     SIDES,
     Mesh,
     ScalarField,
+    _longest_edge,
     _prolongation,
     build_unit_square,
     constant_field,
@@ -62,6 +63,36 @@ def test_refine_quadruples_triangles_and_halves_h():
     validate_mesh(r)
     rr = refine_uniform(r)
     assert rr.triangle_count == 16 * m.triangle_count
+
+
+def _longest_edge_by_norms(nodes, triangles):
+    p = nodes[triangles]
+    d01 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
+    d12 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
+    d20 = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
+    return float(max(d01.max(), d12.max(), d20.max()))
+
+
+def _edge_test_meshes():
+    """(nodes, triangles, h): structured and refined meshes with their h,
+    then randomly perturbed structured meshes, which have none."""
+    meshes = [build_unit_square(n) for n in (1, 2, 3, 128)]
+    meshes += [refine_uniform(build_unit_square(3, "bottom,left")),
+               refine_uniform(refine_uniform(build_unit_square(1)))]
+    for m in meshes:
+        yield m.nodes, m.triangles, m.h
+    rng = np.random.default_rng(5)
+    for n in (2, 7, 16):
+        m = build_unit_square(n)
+        yield m.nodes + rng.uniform(-0.3, 0.3, m.nodes.shape) / n, m.triangles, None
+
+
+def test_longest_edge_is_bitwise_the_largest_side_norm():
+    # validate_mesh compares h with _longest_edge exactly, so both formulas
+    # must round alike
+    for nodes, tri, h in _edge_test_meshes():
+        assert _longest_edge(nodes, tri) == _longest_edge_by_norms(nodes, tri)
+        assert h in (None, _longest_edge(nodes, tri))
 
 
 def test_refine_inherits_boundary_tags():

@@ -193,6 +193,64 @@ def test_cross_check_mode_agrees():
     assert rep.residual <= 1e-10
 
 
+def _contact_v1(n, alpha=2.0):
+    return contact_problem(n=n, alpha=alpha, g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
+
+
+@pytest.mark.parametrize("family, n, alpha", [
+    (ROBIN, 24, 2.0), (DIRICHLET_LIMIT, 24, 2.0), (ROBIN, 64, 2.0), (DIRICHLET_LIMIT, 64, 2.0),
+    (ROBIN, 32, 16384.0),  # K + alpha M_R is not an M-matrix here
+])
+def test_the_reference_answer_does_not_depend_on_its_start(family, n, alpha):
+    # the active-set reference of a PSOR cross-check, at its tolerance
+    m, sys, data = _contact_v1(n, alpha)
+
+    def reference(initial_active=None):
+        p = build_vi_problem(m, sys, data, family)
+        return vi_solver._solve(p, "active_set", 1e-12, mesh=m, initial_active=initial_active)
+
+    nested = reference()
+    p = build_vi_problem(m, sys, data, family)
+    from_psor = reference(solve_psor(p, mesh=m).active_set)
+    everywhere = reference(p._operator.free)
+    assert from_psor.iterations == 1
+    for rep in (from_psor, everywhere):
+        assert rep.values().tobytes() == nested.values().tobytes()
+        assert rep.active_set.tobytes() == nested.active_set.tobytes()
+
+
+def _spy(monkeypatch, name, calls):
+    solve = getattr(vi_solver, name)
+
+    def spy(p, **kwargs):
+        rep = solve(p, **kwargs)
+        calls.append((kwargs, rep))
+        return rep
+
+    monkeypatch.setattr(vi_solver, name, spy)
+
+
+def test_a_psor_cross_check_starts_its_reference_from_the_psor_contact_set(monkeypatch):
+    psor, active = [], []
+    _spy(monkeypatch, "solve_psor", psor)
+    _spy(monkeypatch, "solve_active_set", active)
+    m, sys, data = _contact_v1(24)
+    solve_state(m, sys, data, ROBIN, solver="psor", cross_check=True)
+    (_, rep), = psor
+    (kwargs, ref), = active  # no coarse solve
+    assert kwargs["initial_active"] is rep.active_set
+    assert ref.iterations == 1
+
+
+def test_an_active_set_cross_check_starts_psor_at_the_obstacle(monkeypatch):
+    psor = []
+    _spy(monkeypatch, "solve_psor", psor)
+    m, sys, data = _contact_v1(24)
+    solve_state(m, sys, data, DIRICHLET_LIMIT, solver="active_set", cross_check=True)
+    (kwargs, _), = psor
+    assert kwargs.get("u0") is None
+
+
 def test_psor_nonconvergence_carries_residual():
     # a smooth (contact-free) solve cannot reach 1e-14 in two sweeps
     m, sys, data = contact_problem(n=8, g=5.0, q=0.0)
