@@ -3,8 +3,9 @@
 
 The cost weighs the temperature against the control effort,
 J(g) = ||u_g||_H^2 / 2 + M ||g||_H^2 / 2.  The gradient method freezes the
-contact set of the state and solves the adjoint system there; on a tiny
-mesh a derivative-free compass search doubles as an oracle.
+contact set of the state, solves the adjoint system there and takes a
+Newton step by CG on that set; on a tiny mesh a derivative-free compass
+search doubles as an oracle.
 """
 
 import numpy as np

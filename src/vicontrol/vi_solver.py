@@ -19,7 +19,9 @@ Each problem reduces itself to its free nodes once, on first use, and
 another load.  The reduction keeps only the last LU factor made by the
 active-set and adjoint solves: the solves that share a reduction (line
 searches, adjoint lifts) start from the contact set where the previous
-one ended, so that is the factor they reuse.
+one ended, so that is the factor they reuse.  Each LU orders its block by
+symmetric minimum degree on A + A^T in SuperLU's symmetric mode: an SPD
+block keeps its diagonal pivots, a non-symmetric one is still pivoted.
 
 Active-set solves on even-n structured meshes start from the Galerkin
 coarse VI (P^T A P, P^T F) on the n/2 grid: its solution is prolonged,
@@ -195,13 +197,14 @@ class _Operator:
                              shape=(m, m))
 
     def factor(self, active: np.ndarray):
-        """LU of :meth:`block` of ``active``; only the last is kept.  The old
-        factor is dropped before the next one is made, so one operator never
-        holds two."""
+        """LU of :meth:`block` of ``active``, ordered by minimum degree on
+        A + A^T; only the last is kept.  The old factor is dropped before the
+        next one is made, so one operator never holds two."""
         key = active.tobytes()
         if key != self.key:
             self.key = self.lu = None
-            self.lu = spla.splu(self.block(active))
+            self.lu = spla.splu(self.block(active), permc_spec="MMD_AT_PLUS_A",
+                                options=dict(SymmetricMode=True))
             self.key = key
         return self.lu
 

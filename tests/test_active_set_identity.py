@@ -57,9 +57,9 @@ def _outcome(solve, p):
     the blocks it factored."""
     sizes = []
 
-    def splu(a):
+    def splu(a, **kw):
         sizes.append(a.shape[0])
-        return spla.splu(a)
+        return spla.splu(a, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vi_solver, "spla", SimpleNamespace(splu=splu))

@@ -1,7 +1,11 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from vicontrol import control
+from vicontrol import control, vi_solver
 from vicontrol.assembly import ProblemData, assemble, norm_H
 from vicontrol.control import (
     check_open_problems,
@@ -65,7 +69,16 @@ def test_cost_oracle_dirichlet_family():
     assert rep.value == pytest.approx(j_oracle, abs=1e-9)
 
 
-def test_optimizer_bound_and_monotone_history():
+def _colamd_splu(a, **kw):
+    """splu with scipy's defaults: COLAMD ordering, partial pivoting."""
+    return spla.splu(a, permc_spec="COLAMD")
+
+
+@pytest.mark.parametrize("ordering", ["colamd", "default"])
+def test_optimizer_bound_and_monotone_history(ordering, monkeypatch):
+    # the optimizer's stop must not hang on the rounding of one LU ordering
+    if ordering == "colamd":
+        monkeypatch.setattr(vi_solver, "spla", SimpleNamespace(splu=_colamd_splu))
     m = build_unit_square(4)
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
     sys = assemble(m, data)
@@ -76,24 +89,36 @@ def test_optimizer_bound_and_monotone_history():
     assert all(b <= a for a, b in zip(rep.history, rep.history[1:]))
 
 
-def test_a_step_that_rounds_away_ends_the_line_search(monkeypatch):
-    # at tol 1e-12 the gradient stalls near 2e-12: the backtracking reaches a
-    # trial equal to g, whose J passes the Armijo test at rounding level, and
-    # accepting such null steps spun to max_iter (8462 state solves)
+def test_the_newton_method_converges_below_the_old_rounding_floor():
+    # near 2e-12 a gradient step's Armijo decrease is below the rounding of J;
+    # on a stable contact set one Newton step reaches the tolerance
     m = build_unit_square(4)
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
-    evaluations = []
+    rep = optimize(m, assemble(m, data), data, ROBIN, tol=1e-12)
+    assert rep.gradient_norm_final <= 1e-12
+    assert all(b <= a for a, b in zip(rep.history, rep.history[1:]))
+
+
+def test_a_step_that_rounds_away_ends_the_line_search(monkeypatch):
+    # past the first step no trial lowers J, and tol 0 is out of reach: the
+    # backtracking halves the step until g + step d == g, and that null step
+    # ends the search before MAX_BACKTRACKS, with the best point so far
+    m = build_unit_square(4)
+    data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
+    values = []
     evaluate = control._Evaluator.cost
 
-    def counted(ev, gvals):
-        evaluations.append(1)
-        return evaluate(ev, gvals)
+    def never_lower(ev, gvals):
+        rep = evaluate(ev, gvals)
+        values.append(rep.value)
+        return rep if len(values) <= 2 else replace(rep, value=values[0])
 
-    monkeypatch.setattr(control._Evaluator, "cost", counted)
+    monkeypatch.setattr(control._Evaluator, "cost", never_lower)
     with pytest.raises(LineSearchError) as err:
-        optimize(m, assemble(m, data), data, ROBIN, tol=1e-12)
-    assert len(evaluations) <= 1000
-    assert err.value.best.gradient_norm_final > 1e-12
+        optimize(m, assemble(m, data), data, ROBIN, tol=0.0)
+    assert len(values) < 2 + control.MAX_BACKTRACKS
+    assert err.value.best.iterations == 1
+    assert err.value.best.J_opt == values[1] < values[0]
 
 
 def test_huge_cost_weight_collapses_the_control():

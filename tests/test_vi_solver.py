@@ -446,8 +446,8 @@ class _Factor:
 
 def _proxy_splu(monkeypatch, record):
     """Route vi_solver's splu through a proxy that passes each factor to record."""
-    def splu(a):
-        factor = _Factor(spla.splu(a))
+    def splu(a, **kw):
+        factor = _Factor(spla.splu(a, **kw))
         record(factor)
         return factor
 
@@ -515,9 +515,9 @@ def _block_test_operators():
 def test_factor_hands_splu_the_fancy_indexed_inactive_block(monkeypatch):
     blocks = []
 
-    def splu(a):
+    def splu(a, **kw):
         blocks.append(a.copy())  # as handed over: splu sorts its input in place
-        return spla.splu(a)
+        return spla.splu(a, **kw)
 
     monkeypatch.setattr(vi_solver, "spla", SimpleNamespace(splu=splu))
     rng = np.random.default_rng(8)
@@ -533,6 +533,23 @@ def test_factor_hands_splu_the_fancy_indexed_inactive_block(monkeypatch):
             np.testing.assert_array_equal(got.indptr, want.indptr)
             np.testing.assert_array_equal(got.indices, want.indices)
             assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_factor_pivots_spd_blocks_on_the_diagonal_and_solves_as_colamd():
+    # the symmetric ordering keeps the diagonal pivots of an SPD block, and
+    # partial pivoting still serves a non-symmetric one
+    rng = np.random.default_rng(3)
+    *spd, skew = _block_test_operators()
+    for op in spd + [skew]:
+        k = op.free.size
+        for active in [rng.random(k) < d for d in (0.1, 0.5)] + [np.zeros(k, bool)]:
+            lu = op.factor(active)
+            if op is not skew:
+                np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+            rhs = rng.standard_normal(lu.shape[0])
+            want = spla.splu(op.block(active), permc_spec="COLAMD").solve(rhs)
+            err = np.abs(lu.solve(rhs) - want).max()
+            assert err <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
