@@ -298,7 +298,7 @@ def cmd_state(cfg: RunConfig) -> int:
         mesh, sys_, data, family=cfg.family, solver=cfg.solver, tol=cfg.tol,
         max_iter=cfg.max_iter or None, cross_check=cfg.cross_check,
     )
-    body = ["x,y,u", *format_rows("%.17g,%.17g,%.17g", mesh.nodes, rep.values())]
+    body = ["x,y,u", format_rows("%.17g,%.17g,%.17g", mesh.nodes, rep.values())]
     _write(cfg, "state.csv", body)
     report = [
         f"family: {cfg.family}",
@@ -317,7 +317,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
         mesh, sys_, data, family=cfg.family, method=cfg.opt_method,
         tol=cfg.opt_tol, max_iter=cfg.opt_max_iter, solver=cfg.solver,
     )
-    body = ["x,y,g", *format_rows("%.17g,%.17g,%.17g", mesh.nodes, rep.g_opt.values)]
+    body = ["x,y,g", format_rows("%.17g,%.17g,%.17g", mesh.nodes, rep.g_opt.values)]
     _write(cfg, "g_opt.csv", body)
     hist = ["iter,J"]
     for k, j in enumerate(rep.history):

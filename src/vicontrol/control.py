@@ -203,9 +203,11 @@ def _proj_grad(ev: _Evaluator, g: np.ndarray, tol: float, max_iter: int) -> Opti
         for _ in range(MAX_BACKTRACKS):
             trial = g + step * d
             if np.array_equal(trial, g):
-                break  # the step rounds away, and J(g) passes Armijo at rounding level
+                break  # the step rounds away, and so would every shorter one
             trial_report = ev.cost(trial)
-            if trial_report.value <= report.value + ARMIJO_C * step * slope:
+            # Armijo, and a strict decrease: below J's rounding the Armijo term rounds away
+            value = trial_report.value
+            if value <= report.value + ARMIJO_C * step * slope and value < report.value:
                 accepted = (trial, trial_report)
                 break
             step *= BACKTRACK

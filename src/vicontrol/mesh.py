@@ -341,18 +341,20 @@ def write_mesh(mesh: Mesh, path) -> None:
     One header line ``nodes <N> triangles <T>``, node coordinate lines,
     triangle index lines, then the ``gamma1`` and ``gamma2`` edge lists.
     """
-    lines = [
+    blocks = [
         f"nodes {mesh.node_count} triangles {mesh.triangle_count}",
-        *format_rows("%.17g %.17g", mesh.nodes),
-        *format_rows("%d %d %d", mesh.triangles),
-        "gamma1", *format_rows("%d %d", mesh.gamma1_edges),
-        "gamma2", *format_rows("%d %d", mesh.gamma2_edges),
+        format_rows("%.17g %.17g", mesh.nodes),
+        format_rows("%d %d %d", mesh.triangles),
+        "gamma1", format_rows("%d %d", mesh.gamma1_edges),
+        "gamma2", format_rows("%d %d", mesh.gamma2_edges),
     ]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(b for b in blocks if b) + "\n")  # an empty block adds no line
 
 
-def format_rows(fmt: str, *columns: np.ndarray) -> list[str]:
-    """``fmt % row`` for each row of the columns side by side, zipped from one
-    flat ``tolist`` per column, so ``%.17g`` prints a float round-trip."""
-    return [fmt % row for row in zip(*np.column_stack(columns).T.tolist())]
+def format_rows(fmt: str, *columns: np.ndarray) -> str:
+    """``fmt % row`` for each row of the columns side by side, one line per
+    row joined by newlines ("" for no rows).  One ``%`` formats the whole
+    block from one flat ``tolist``, so ``%.17g`` prints a float round-trip."""
+    table = np.column_stack(columns)
+    return "\n".join([fmt] * table.shape[0]) % tuple(table.ravel().tolist())

@@ -245,6 +245,15 @@ def inactive_block(a_ff, active):
     return a_ff[idx][:, idx].tocsc()
 
 
+def free_reduction(p):
+    """The free-node matrix of p and the load of its eliminated trace,
+    A[free][:, free] and A[free][:, pinned] @ dirichlet_values, cut out by
+    scipy's fancy indexing."""
+    free = np.setdiff1d(np.arange(p.size), p.dirichlet_nodes)
+    a_free = p.A.tocsr()[free]
+    return a_free[:, free].tocsr(), a_free[:, p.dirichlet_nodes] @ p.dirichlet_values
+
+
 DUAL_TOL = 1e-12  # the reference loop's own dual-sign test on the active nodes
 
 

@@ -1,6 +1,7 @@
-"""Property test: the active-set loop gives the bytes of the reference loop
+"""Property tests: the active-set loop gives the bytes of the reference loop
 in ``oracles.reference_active_set``: the same values, iteration count,
-contact set and residual, or the same error, from the same LU factors."""
+contact set and residual, or the same error, from the same LU factors; and
+the free-node reduction gives the bytes of scipy's fancy indexing."""
 
 from dataclasses import replace
 from types import SimpleNamespace
@@ -10,7 +11,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oracles import reference_active_set
+from oracles import free_reduction, reference_active_set
+from test_vi_solver import _block_test_problems
 from vicontrol import vi_solver
 from vicontrol.assembly import ProblemData, assemble
 from vicontrol.errors import NonConvergenceError
@@ -105,3 +107,30 @@ def test_the_active_set_loop_gives_the_reference_bytes(
         return values.tobytes(), iterations, active.tobytes(), residual
 
     assert _outcome(library, p) == _outcome(reference, p)
+
+
+def _assert_the_cut_is_fancy_indexed(p):
+    op = replace(p)._operator
+    a_ff, shift = free_reduction(p)
+    assert type(op.a_ff) is type(a_ff)
+    for got, want in [(op.a_ff.data, a_ff.data), (op.a_ff.indices, a_ff.indices),
+                      (op.a_ff.indptr, a_ff.indptr), (op.shift, shift)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_the_free_node_cut_of_a_pinned_trace_is_fancy_indexed():
+    _, dirichlet, galerkin, _ = _block_test_problems()
+    _assert_the_cut_is_fancy_indexed(dirichlet)
+    _assert_the_cut_is_fancy_indexed(galerkin)
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+@hypothesis.given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    kind=st.sampled_from(["assembled", "m-matrix"]),
+    n=st.integers(2, 8),
+)
+def test_the_free_node_cut_of_random_pinned_nodes_is_fancy_indexed(seed, kind, n):
+    rng = np.random.default_rng(seed)
+    p = _assembled(rng, n, "robin") if kind == "assembled" else _m_matrix(rng, 5 * n)
+    _assert_the_cut_is_fancy_indexed(_pin(rng, p))

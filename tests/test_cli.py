@@ -310,6 +310,16 @@ def test_psor_passes_the_cross_check_at_n64(tmp_path, family):
 
 
 @pytest.mark.parametrize("family", ["robin", "dirichlet_limit"])
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_psor_passes_the_cross_check_on_the_cli_defaults(tmp_path, family, n):
+    # no contact set: stopped on its residual alone, PSOR was 1.2e-9 to 3.5e-9
+    # from PDAS here, its error up to 36 times the residual
+    code = main(["state", "--set", f"n={n}", "--set", "solver=psor",
+                 "--set", f"family={family}", "--cross-check", "--out", str(tmp_path / "x")])
+    assert code == 0
+
+
+@pytest.mark.parametrize("family", ["robin", "dirichlet_limit"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_psor_converges_on_the_coarsest_grids(tmp_path, family, n):
     # Young's factor 2 / (1 + sin(pi / n)) would be 2 at n = 1, where SOR stalls

@@ -121,6 +121,28 @@ def test_a_step_that_rounds_away_ends_the_line_search(monkeypatch):
     assert err.value.best.J_opt == values[1] < values[0]
 
 
+def test_a_trial_that_does_not_lower_j_is_not_taken(monkeypatch):
+    # below J's rounding the Armijo term c step <grad, d>_H rounds away, so a
+    # trial that moved g but left J(g) unchanged passed it, and the optimizer
+    # took such steps until max_iter; now the search backtracks to its end
+    m = build_unit_square(4)
+    data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
+    values = []
+    evaluate = control._Evaluator.cost
+
+    def level(ev, gvals):
+        rep = evaluate(ev, gvals)
+        values.append(rep.value)
+        return replace(rep, value=values[0])  # every trial moves g, none changes J
+
+    monkeypatch.setattr(control._Evaluator, "cost", level)
+    with pytest.raises(LineSearchError) as err:
+        optimize(m, assemble(m, data), data, ROBIN, tol=0.0, max_iter=5)
+    assert len(values) == 1 + control.MAX_BACKTRACKS
+    assert err.value.best.iterations == 0
+    assert err.value.best.history == (values[0],)
+
+
 def test_huge_cost_weight_collapses_the_control():
     m = build_unit_square(4)
     data = ProblemData(alpha=1.0, b=1.0, q=1.0, M_cost=1e6, g=0.0)

@@ -256,6 +256,16 @@ def test_mesh_export_format(tmp_path):
     np.testing.assert_array_equal(np.array(coords), m.nodes)
 
 
+def test_an_empty_edge_list_adds_no_line_to_the_mesh_file(tmp_path):
+    m = build_unit_square(2, "bottom,right,top,left")
+    assert m.gamma2_edges.shape == (0, 2)
+    path = tmp_path / "mesh.txt"
+    write_mesh(m, path)
+    text = path.read_text()
+    assert text.endswith("\ngamma2\n")
+    assert text.splitlines()[1 + 9 + 8] == "gamma1" and text.count("\n") == 1 + 9 + 8 + 1 + 8 + 1
+
+
 def test_format_rows_prints_what_the_row_lists_printed():
     m = build_unit_square(3)
     u = np.linspace(-1.0, 1.0, m.node_count)
@@ -263,5 +273,5 @@ def test_format_rows_prints_what_the_row_lists_printed():
     for fmt, columns in [("%.17g,%.17g,%.17g", (m.nodes, u)), ("%d %d %d", (m.triangles,)),
                          ("%.17g", (u,)), ("%d %d", (m.gamma1_edges[:0],))]:
         old = [fmt % tuple(row) for row in np.column_stack(columns).tolist()]
-        assert format_rows(fmt, *columns) == old
-    assert format_rows("%.17g,%.17g,%.17g", m.nodes, u)[0] == "0,0,-0"
+        assert format_rows(fmt, *columns) == "\n".join(old)
+    assert format_rows("%.17g,%.17g,%.17g", m.nodes, u).split("\n")[0] == "0,0,-0"

@@ -493,9 +493,9 @@ def test_an_operator_keeps_at_most_one_lu_factor(monkeypatch):
     assert len(live) <= 1
 
 
-def _block_test_operators():
-    """n = 16 Robin and Dirichlet-limit operators, the Galerkin coarse
-    operator of the latter, and a non-symmetric matrix whose CSR rows are
+def _block_test_problems():
+    """n = 16 Robin and Dirichlet-limit problems, the Galerkin coarse
+    problem of the latter, and a non-symmetric matrix whose CSR rows are
     stored in reverse column order."""
     m, sys, data = contact_problem(n=16)
     robin, dirichlet = (build_vi_problem(m, sys, data, f) for f in (ROBIN, DIRICHLET_LIMIT))
@@ -509,7 +509,12 @@ def _block_test_operators():
                           for i in range(40)])
     skew = VIProblem(A=sp.csr_matrix((a.data[rev], a.indices[rev], a.indptr), shape=a.shape),
                      F=np.ones(40), lower_bound=np.zeros(40))
-    return [q._operator for q in (robin, dirichlet, galerkin, skew)]
+    return [robin, dirichlet, galerkin, skew]
+
+
+def _block_test_operators():
+    """The free-node reductions of :func:`_block_test_problems`."""
+    return [q._operator for q in _block_test_problems()]
 
 
 def test_factor_hands_splu_the_fancy_indexed_inactive_block(monkeypatch):
