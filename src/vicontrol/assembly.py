@@ -96,12 +96,13 @@ def as_control_field(mesh: Mesh, g: ControlSpec) -> ScalarField:
 
 def _scatter(mesh: Mesh, cells: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
     """Sum the local matrices of the cells (triangles or edges) into a global
-    one, symmetrized to (A + A^T) / 2."""
+    one, exactly symmetric as they are; sums of exactly 0.0 are not stored."""
     rows = np.broadcast_to(cells[:, :, None], local.shape).ravel()
     cols = np.broadcast_to(cells[:, None, :], local.shape).ravel()
     n = mesh.node_count
     a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return ((a + a.T) * 0.5).tocsr()
+    a.eliminate_zeros()
+    return a
 
 
 def _edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .mesh import SIDES, ScalarField, build_unit_square, format_rows, write_mesh
 from .presets import PRESETS, box_control
-from .vi_solver import FAMILIES, SOLVERS, solve_state
+from .vi_solver import DEFAULT_TOL, FAMILIES, SOLVERS, solve_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,7 +61,7 @@ class RunConfig:
     g: str = "0"
     family: str = "robin"
     solver: str = "active_set"
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     max_iter: int = 0
     opt_method: str = "proj_grad_adjoint"
     opt_tol: float = 1e-8

@@ -121,7 +121,7 @@ class _Evaluator:
 
     def state(self, gvals: np.ndarray) -> VIReport:
         problem = self.base.with_load(self.base.F + self.sys.M_H @ gvals)
-        rep = _solve(problem, self.solver, self.tol, mesh=self.mesh, initial_active=self.warm)
+        rep = _solve(problem, self.solver, self.tol, initial_active=self.warm)
         self.warm = rep.active_set
         return rep
 

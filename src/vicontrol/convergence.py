@@ -26,7 +26,7 @@ from .assembly import ProblemData, as_control_field, assemble, norm_H, norm_R, n
 from .control import OptimizeReport, _cost_terms, optimize
 from .errors import InsufficientDataError, InvalidParameterError
 from .mesh import Mesh, ScalarField, _element_geometry, build_unit_square, interpolate, prolongate
-from .vi_solver import DIRICHLET_LIMIT, ROBIN, solve_state
+from .vi_solver import DEFAULT_TOL, DIRICHLET_LIMIT, ROBIN, solve_state
 
 ZERO_NOTE = "zero errors excluded from fit"
 FIT_GUARD_FACTOR = 100.0  # only fit levels with error >= factor * solver tol
@@ -139,7 +139,7 @@ class StudySession:
     """
 
     def __init__(self, data: ProblemData, gamma1="bottom", solver="active_set",
-                 tol: float = 1e-10):
+                 tol: float = DEFAULT_TOL):
         self.data = data
         self.gamma1 = gamma1
         self.solver = solver
@@ -165,7 +165,7 @@ class StudySession:
             data = self.data if family == DIRICHLET_LIMIT else replace(self.data, alpha=alpha)
             rep = solve_state(mesh, sys, data, family=family, solver=self.solver,
                               tol=self.tol)
-            self._states[key] = rep.solution
+            self._states[key] = ScalarField(mesh, rep.solution)
         return self._states[key]
 
     def cost_value(self, n: int, family: str, alpha: float | None) -> float:

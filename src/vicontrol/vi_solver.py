@@ -9,10 +9,12 @@ Two systems are covered, selected by ``family``:
 
 Complementarity is measured nodewise as min(u_i - l_i, (A u - F)_i); its
 max-norm is zero exactly at the solution.  Two independent algorithms are
-provided, projected SOR (relaxed by Young's optimal factor on a structured
-grid, else by PSOR_OMEGA) and a primal-dual active-set method, plus a
-brute-force enumeration oracle for small problems.  Dirichlet rows and
-columns are eliminated with symmetric load correction, keeping A symmetric.
+provided, projected SOR (relaxed by Young's optimal factor for the grid, else
+by PSOR_OMEGA) and a primal-dual active-set method, plus a brute-force
+enumeration oracle for small problems.  Dirichlet rows and columns are
+eliminated with symmetric load correction, keeping A symmetric.  A problem
+built on a structured mesh carries its division count, the one grid fact the
+solvers read, and every report holds the full nodal vector.
 
 Each problem reduces itself to its free nodes once, on first use, and
 :meth:`VIProblem.with_load` shares the reduction with the same VI under
@@ -24,14 +26,14 @@ symmetric minimum degree on A + A^T in SuperLU's symmetric mode (an SPD
 block keeps its diagonal pivots, a non-symmetric one is still pivoted) and
 factors it in panels of one column.
 
-Active-set solves on even-n structured meshes start from the Galerkin
-coarse VI (P^T A P, P^T F) on the n/2 grid: its solution is prolonged,
-smoothed by a few damped projected-Jacobi sweeps, and the contact set is
-read off with the active-set update rule.  From n = TWO_LEVEL_MIN on, one
-more active-set step follows: ``scipy.sparse.linalg.cg``, preconditioned by
-Jacobi plus the truncated coarse grid with the coarse solve's LU, solves its
-inactive system, or the read-off set stands if cg misses its tolerance.  So
-the fine solve usually factors once, and its answer is the cold start's.
+Active-set solves of a problem with an even division count n start from
+the Galerkin coarse VI (P^T A P, P^T F) on the n/2 grid: its solution is
+prolonged, smoothed by a few damped projected-Jacobi sweeps, and the contact
+set is read off with the active-set update rule.  From n = TWO_LEVEL_MIN on,
+one more active-set step follows: ``scipy.sparse.linalg.cg``, preconditioned
+by Jacobi plus the truncated coarse grid with the coarse solve's LU, solves
+its inactive system, or the read-off set stands if cg misses its tolerance.
+So the fine solve usually factors once, and its answer is the cold start's.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .assembly import (
     AssembledSystem,
     ProblemData,
     _gamma2_flux_load,
-    _values,
     as_control_field,
     load_vector,
     robin_matrix,
@@ -60,7 +61,7 @@ from .errors import (
     MatrixError,
     NonConvergenceError,
 )
-from .mesh import Mesh, ScalarField, _prolongation, _same_mesh
+from .mesh import Mesh, _prolongation, _same_mesh
 
 ROBIN = "robin"
 DIRICHLET_LIMIT = "dirichlet_limit"
@@ -82,7 +83,8 @@ FEASIBILITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class VIProblem:
-    """Obstacle problem data: matrix, load, lower bound, optional trace.
+    """Obstacle problem data: matrix, load, lower bound, optional trace and
+    the division count n of its structured grid, if any ((n+1)^2 nodes).
 
     A lower bound of -inf leaves its node unconstrained.  Do not change
     the arrays in place; the free-node reduction is memoized.
@@ -93,11 +95,14 @@ class VIProblem:
     lower_bound: np.ndarray
     dirichlet_nodes: Optional[np.ndarray] = None
     dirichlet_values: Optional[np.ndarray] = None
+    division_count: Optional[int] = None
 
     def __post_init__(self):
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.F.shape != (n,) or self.lower_bound.shape != (n,):
             raise InvalidParameterError("VI problem dimensions disagree")
+        if self.division_count is not None and n != (self.division_count + 1) ** 2:
+            raise InvalidParameterError(f"{n} nodes do not match {self.division_count} divisions")
         if self.dirichlet_nodes is not None:
             if np.any(self.dirichlet_values < self.lower_bound[self.dirichlet_nodes]):
                 raise InvalidParameterError("Dirichlet values violate the obstacle")
@@ -125,19 +130,19 @@ class VIProblem:
 class VIReport:
     """Solution plus solver diagnostics.
 
-    ``solution`` is a ScalarField when the solve was mesh-aware, otherwise a
-    bare coefficient vector.  ``active_set`` lists the nodes where the
-    obstacle binds.  ``iterations`` counts the solve on p only, not the
-    coarse solves of a nested start.
+    ``solution`` is the full nodal vector, pinned trace included; ``values()``
+    returns it.  ``active_set`` lists the nodes where the obstacle binds.
+    ``iterations`` counts the solve on p only, not the coarse solves of a
+    nested start.
     """
 
-    solution: ScalarField | np.ndarray
+    solution: np.ndarray
     iterations: int
     residual: float
     active_set: np.ndarray
 
     def values(self) -> np.ndarray:
-        return _values(self.solution)
+        return self.solution
 
 
 class _Operator:
@@ -243,14 +248,13 @@ def _complementarity(gap, r) -> float:
     return res
 
 
-def _report(p: VIProblem, mesh, u_f, iterations, residual):
+def _report(p: VIProblem, u_f, iterations, residual):
     op = p._operator
     full = op.template.copy()
     full[op.free] = u_f
     active = op.free[u_f <= op.lb_f]  # solvers pin bound nodes exactly; free is sorted
-    solution = full if mesh is None else ScalarField(mesh, full)
     return VIReport(
-        solution=solution,
+        solution=full,
         iterations=iterations,
         residual=residual,
         active_set=active,
@@ -284,14 +288,13 @@ def solve_psor(
     tol: float = DEFAULT_TOL,
     max_iter: int = PSOR_MAX_ITER,
     u0: np.ndarray | None = None,
-    mesh: Mesh | None = None,
 ) -> VIReport:
     """Projected SOR.
 
     Sweeps the colour classes of the free-node matrix graph in order (see
     :func:`_colour_classes`); the rows of one class do not couple, so each
     class takes its Gauss-Seidel update at once.  The update is relaxed by
-    Young's 2 / (1 + sin(pi / max(n, 2))) on a structured mesh of n divisions,
+    Young's 2 / (1 + sin(pi / max(n, 2))) when p carries its division count n,
     else by PSOR_OMEGA, and projected onto the obstacle, so iterates stay
     feasible.  Terminates when the complementarity residual and the error
     estimate est = ||du_k|| rho_k / (1 - rho_k), rho_k = ||du_k|| /
@@ -301,7 +304,7 @@ def solve_psor(
     1/h.  After max_iter sweeps a residual at tol still returns.
     """
     op = _checked_operator(p, tol)
-    n = getattr(mesh, "division_count", None)  # None without a structured grid
+    n = p.division_count
     omega = PSOR_OMEGA if n is None else 2.0 / (1.0 + np.sin(np.pi / max(n, 2)))
     free, a_ff, f_f, lb_f, _ = _free_split(p)
     if u0 is None:
@@ -324,7 +327,7 @@ def solve_psor(
             f"projected SOR: residual {res:.3e} > tol {tol:.1e} after {iters} sweeps",
             residual=res,
         )
-    return _report(p, mesh, u_f, iters, res)
+    return _report(p, u_f, iters, res)
 
 
 def solve_active_set(
@@ -332,7 +335,6 @@ def solve_active_set(
     tol: float = DEFAULT_TOL,
     max_iter: int = ACTIVE_SET_MAX_ITER,
     initial_active: np.ndarray | None = None,
-    mesh: Mesh | None = None,
 ) -> VIReport:
     """Primal-dual active-set method.
 
@@ -366,11 +368,11 @@ def solve_active_set(
         res = _complementarity(gap, lam)
         feasible = gap.min(initial=0.0) >= -FEASIBILITY_TOL
         if res <= tol and feasible:
-            return _report(p, mesh, u_f, it, res)
+            return _report(p, u_f, it, res)
         nxt = lam - gap > 0.0
         if nxt.tobytes() == key and feasible:
             # stable set: as converged as the linear algebra allows
-            return _report(p, mesh, u_f, it, res)
+            return _report(p, u_f, it, res)
         active = nxt
     raise NonConvergenceError(
         f"active-set method: residual {res:.3e} > tol {tol:.1e} after {max_iter} iterations",
@@ -378,7 +380,7 @@ def solve_active_set(
     )
 
 
-def solve_enumerate(p: VIProblem, mesh: Mesh | None = None) -> VIReport:
+def solve_enumerate(p: VIProblem) -> VIReport:
     """Brute-force oracle: try every active set, keep the feasible one.
 
     Enumerates all 2^k candidate contact sets over the k free nodes, solves
@@ -414,7 +416,7 @@ def solve_enumerate(p: VIProblem, mesh: Mesh | None = None) -> VIReport:
             best_margin = margin
             best_u = u.copy()
     res = _complementarity(best_u - lb_f, a_ff @ best_u - f_f)
-    return _report(p, mesh, best_u, 1 << k, res)
+    return _report(p, best_u, 1 << k, res)
 
 
 def adjoint_lift(p: VIProblem, active_nodes: np.ndarray, rhs_full: np.ndarray) -> np.ndarray:
@@ -437,40 +439,37 @@ def adjoint_lift(p: VIProblem, active_nodes: np.ndarray, rhs_full: np.ndarray) -
 def build_vi_problem(
     mesh: Mesh, sys: AssembledSystem, data: ProblemData, family: str
 ) -> VIProblem:
-    """Construct the VI of the requested family on an assembled mesh."""
+    """Construct the VI of the requested family on an assembled mesh; it
+    carries the mesh's division count."""
     if not _same_mesh(sys.mesh, mesh):
         raise InvalidParameterError("the assembled system belongs to a different mesh")
+    nodes = values = None
     if family == ROBIN:
         if data.alpha is None:
             raise InvalidParameterError("robin family requires alpha > 0")
-        return VIProblem(
-            A=robin_matrix(sys, data.alpha),
-            F=load_vector(sys, data),
-            lower_bound=np.zeros(mesh.node_count),
-        )
-    if family == DIRICHLET_LIMIT:
+        A, F = robin_matrix(sys, data.alpha), load_vector(sys, data)
+    elif family == DIRICHLET_LIMIT:
         g = as_control_field(mesh, data.g)
-        f = sys.M_H @ g.values - _gamma2_flux_load(mesh, data.q)
+        A, F = sys.K.tocsr(), sys.M_H @ g.values - _gamma2_flux_load(mesh, data.q)
         nodes = mesh.gamma1_nodes()
-        return VIProblem(
-            A=sys.K.tocsr(),
-            F=f,
-            lower_bound=np.zeros(mesh.node_count),
-            dirichlet_nodes=nodes,
-            dirichlet_values=np.full(nodes.size, data.b),
-        )
-    raise InvalidParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        values = np.full(nodes.size, data.b)
+    else:
+        raise InvalidParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return VIProblem(A=A, F=F, lower_bound=np.zeros(mesh.node_count), dirichlet_nodes=nodes,
+                     dirichlet_values=values, division_count=mesh.division_count)
 
 
-def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | None:
-    """Contact set of p from its Galerkin VI on the n/2 grid, itself seeded
-    so: the coarse solution is prolonged, smoothed by SMOOTH_SWEEPS damped
-    projected-Jacobi sweeps, and the active-set update rule is read off it;
-    for n >= TWO_LEVEL_MIN that set takes one :func:`_two_level_step`.
-    None (cold start) if n is None, odd or < 2 NESTED_MIN, if p has a
-    non-positive free diagonal entry, or when the coarse solve raises
-    NonConvergenceError or InvalidParameterError (its Galerkin load sums
-    several fine entries, so it can overflow where p's does not)."""
+def _coarse_contact(p: VIProblem, tol: float) -> np.ndarray | None:
+    """Contact set of p, on its grid of n = p.division_count divisions, from
+    its Galerkin VI on the n/2 grid, itself seeded so: the coarse solution is
+    prolonged, smoothed by SMOOTH_SWEEPS damped projected-Jacobi sweeps, and
+    the active-set update rule is read off it; for n >= TWO_LEVEL_MIN that
+    set takes one :func:`_two_level_step`.  None (cold start) if n is None,
+    odd or < 2 NESTED_MIN, if p has a non-positive free diagonal entry, or
+    when the coarse solve raises NonConvergenceError or InvalidParameterError
+    (its Galerkin load sums several fine entries, so it can overflow where
+    p's does not)."""
+    n = p.division_count
     if n is None or n % 2 or n // 2 < NESTED_MIN or p._operator.bad_diagonal:
         return None
     nc = n // 2
@@ -482,9 +481,9 @@ def _coarse_contact(p: VIProblem, n: int | None, tol: float) -> np.ndarray | Non
         nodes = np.searchsorted(keep, p.dirichlet_nodes[on_grid])
         values = p.dirichlet_values[on_grid]
     pc = VIProblem(A=(P.T @ p.A @ P).tocsr(), F=P.T @ p.F, lower_bound=p.lower_bound[keep],
-                   dirichlet_nodes=nodes, dirichlet_values=values)
+                   dirichlet_nodes=nodes, dirichlet_values=values, division_count=nc)
     try:
-        u_c = solve_active_set(pc, tol=tol, initial_active=_coarse_contact(pc, nc, tol))
+        u_c = solve_active_set(pc, tol=tol, initial_active=_coarse_contact(pc, tol))
     except (NonConvergenceError, InvalidParameterError):
         return None
     free, a_ff, f_f, lb_f, _ = _free_split(p)
@@ -526,16 +525,16 @@ def _two_level_step(op: _Operator, f_f, u_f, active, P, op_c: _Operator) -> np.n
 SOLVERS = ("active_set", "psor")
 
 
-def _solve(p, solver, tol, max_iter=None, mesh=None, initial_active=None) -> VIReport:
+def _solve(p, solver, tol, max_iter=None, initial_active=None) -> VIReport:
     """Solve p with the named algorithm; max_iter None takes its default.  PSOR
-    ignores initial_active; an active-set solve on a mesh without one starts nested."""
+    ignores initial_active; an active-set solve without one starts nested."""
     if solver == "psor":
-        return solve_psor(p, tol=tol, max_iter=max_iter or PSOR_MAX_ITER, mesh=mesh)
+        return solve_psor(p, tol=tol, max_iter=max_iter or PSOR_MAX_ITER)
     if solver == "active_set":
-        if initial_active is None and mesh is not None:
-            initial_active = _coarse_contact(p, mesh.division_count, tol)
+        if initial_active is None:
+            initial_active = _coarse_contact(p, tol)
         return solve_active_set(p, tol=tol, max_iter=max_iter or ACTIVE_SET_MAX_ITER,
-                                initial_active=initial_active, mesh=mesh)
+                                initial_active=initial_active)
     raise InvalidParameterError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
 
 
@@ -559,12 +558,12 @@ def solve_state(
     the set where it stops, does not depend on the start.
     """
     p = build_vi_problem(mesh, sys, data, family)
-    rep = _solve(p, solver, tol, max_iter, mesh)
+    rep = _solve(p, solver, tol, max_iter)
     if cross_check:
         # the independent solver serves as a reference, so it runs tighter:
         # a residual at tol does not pin the solution to tol on fine meshes
         other = "active_set" if solver == "psor" else "psor"
-        rep2 = _solve(p, other, max(tol * 1e-2, 5e-15), mesh=mesh, initial_active=rep.active_set)
+        rep2 = _solve(p, other, max(tol * 1e-2, 5e-15), initial_active=rep.active_set)
         gap = float(np.max(np.abs(rep.values() - rep2.values())))
         if gap > 10.0 * tol:
             raise CrossCheckError(

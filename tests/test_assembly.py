@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +15,8 @@ from vicontrol.assembly import (
     robin_matrix,
 )
 from vicontrol.errors import AssemblyError, InvalidParameterError
-from vicontrol.mesh import Mesh, build_unit_square, constant_field, interpolate
+from vicontrol.mesh import (Mesh, _longest_edge, build_unit_square, constant_field, interpolate,
+                            refine_uniform)
 
 from oracles import quad_assemble, quad_load
 
@@ -60,10 +63,32 @@ def test_constant_field_energies():
     assert v @ (sys.M_H @ v) == pytest.approx(c * c * 1.0, rel=1e-14)
 
 
+def _symmetry_test_meshes():
+    """Structured meshes with one to four gamma1 sides, a twice-refined mesh
+    and a structured mesh with randomly moved interior nodes."""
+    for n in (1, 2, 3, 7, 16, 64, 128):
+        for sides in ("bottom", "bottom,left", "bottom,right,top,left"):
+            yield build_unit_square(n, sides)
+    yield refine_uniform(refine_uniform(build_unit_square(3, "left")))
+    m = build_unit_square(9)
+    inner = np.all((m.nodes > 0.0) & (m.nodes < 1.0), axis=1)
+    shift = np.random.default_rng(3).uniform(-0.3, 0.3, m.nodes.shape) / 9
+    nodes = m.nodes + inner[:, None] * shift
+    yield replace(m, nodes=nodes, h=_longest_edge(nodes, m.triangles))
+
+
 def test_matrices_exactly_symmetric():
-    sys = assemble(build_unit_square(5, "bottom,left"))
-    for mat in (sys.K, sys.M_H, sys.M_R):
-        assert abs(mat - mat.T).max() == 0.0
+    # the element matrices are exactly symmetric, so summing them once stores
+    # the bytes of the symmetrized (A + A^T) / 2, which keeps no zeros
+    for m in _symmetry_test_meshes():
+        sys = assemble(m)
+        for mat in (sys.K, sys.M_H, sys.M_R):
+            assert abs(mat - mat.T).max() == 0.0
+            sym = ((mat + mat.T) * 0.5).tocsr()
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(mat, name), getattr(sym, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (mat.data != 0.0).all()
 
 
 def test_boundary_mass_support_is_gamma1():

@@ -15,8 +15,9 @@ from vicontrol.convergence import (
     monotone_nonincreasing,
 )
 from vicontrol.errors import InsufficientDataError, InvalidParameterError
+from vicontrol.mesh import ScalarField
 from vicontrol.presets import box_control
-from vicontrol.vi_solver import ROBIN
+from vicontrol.vi_solver import DIRICHLET_LIMIT, ROBIN
 
 
 def contact_data(alpha=2.0):
@@ -111,6 +112,14 @@ def test_sweeps_share_lattice_corner_bitwise():
     alpha_sweep_state(data, levels[-1], alphas, session=session)
     after = session.state(levels[-1], ROBIN, alphas[-1]).values
     assert before is after  # cached: identical array, hence bitwise equal
+
+
+def test_a_session_state_is_a_field_on_the_session_mesh():
+    session = StudySession(contact_data())
+    for family, alpha in ((ROBIN, 2.0), (DIRICHLET_LIMIT, None)):
+        u = session.state(8, family, alpha)
+        assert isinstance(u, ScalarField) and u.mesh is session.grid(8)[0]
+        assert session.state(8, family, alpha) is u
 
 
 def test_reference_levels():

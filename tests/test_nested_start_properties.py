@@ -45,7 +45,7 @@ def test_a_nested_start_with_a_step_on_every_level_ends_at_the_cold_answer(
     m = build_unit_square(n, gamma1)
     data = ProblemData(alpha=alpha, b=1.0, q=q, M_cost=1.0, g=g)
     sys = assemble(m, data)
-    cold = solve_active_set(build_vi_problem(m, sys, data, family), mesh=m)
+    cold = solve_active_set(build_vi_problem(m, sys, data, family))
     step, levels = vi_solver._two_level_step, []
 
     def counted_step(op, *args):

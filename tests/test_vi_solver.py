@@ -62,7 +62,7 @@ def test_inactive_constraint_reduces_to_linear_solve():
     p = build_vi_problem(m, sys, data, ROBIN)
     direct = spla.spsolve(p.A.tocsc(), p.F)
     assert direct.min() > 0.1
-    for rep in (solve_psor(p, mesh=m), solve_active_set(p, mesh=m)):
+    for rep in (solve_psor(p), solve_active_set(p)):
         np.testing.assert_allclose(rep.values(), direct, atol=1e-9)
         assert rep.active_set.size == 0
 
@@ -70,8 +70,8 @@ def test_inactive_constraint_reduces_to_linear_solve():
 def test_contact_instance_matches_enumeration_oracle():
     m, sys, data = contact_problem(n=2, alpha=2.0, g=-20.0, q=1.0, b=1.0)
     p = build_vi_problem(m, sys, data, ROBIN)
-    oracle = solve_enumerate(p, mesh=m)
-    for rep in (solve_psor(p, mesh=m), solve_active_set(p, mesh=m)):
+    oracle = solve_enumerate(p)
+    for rep in (solve_psor(p), solve_active_set(p)):
         assert np.max(np.abs(rep.values() - oracle.values())) <= 1e-10
 
 
@@ -88,7 +88,7 @@ def test_randomized_oracle_equivalence_small():
         )
         sys = assemble(m, data)
         p = build_vi_problem(m, sys, data, ROBIN)
-        oracle = solve_enumerate(p, mesh=m)
+        oracle = solve_enumerate(p)
         assert np.max(np.abs(solve_psor(p).values() - oracle.values())) <= 1e-10
         assert np.max(np.abs(solve_active_set(p).values() - oracle.values())) <= 1e-10
 
@@ -96,7 +96,7 @@ def test_randomized_oracle_equivalence_small():
 def test_solutions_are_feasible_and_complementary():
     m, sys, data = contact_problem(n=4)
     p = build_vi_problem(m, sys, data, ROBIN)
-    for rep in (solve_psor(p, mesh=m), solve_active_set(p, mesh=m)):
+    for rep in (solve_psor(p), solve_active_set(p)):
         assert rep.values().min() >= -1e-12
         assert rep.residual <= 1e-10
         r = p.A @ rep.values() - p.F
@@ -129,11 +129,11 @@ def test_uniqueness_across_initial_iterates():
     sols = []
     for _ in range(5):
         u0 = np.maximum(rng.uniform(-1.0, 3.0, m.node_count), 0.0)
-        sols.append(solve_psor(p, tol=1e-11, u0=u0, mesh=m).values())
-    base = solve_active_set(p, mesh=m).values()
+        sols.append(solve_psor(p, tol=1e-11, u0=u0).values())
+    base = solve_active_set(p).values()
     for k in range(5):
         start = rng.choice(m.node_count, size=k + 1, replace=False)
-        sols.append(solve_active_set(p, initial_active=start, mesh=m).values())
+        sols.append(solve_active_set(p, initial_active=start).values())
     for u in sols:
         assert norm_V(sys, u - base) <= 1e-8
 
@@ -207,11 +207,11 @@ def test_the_reference_answer_does_not_depend_on_its_start(family, n, alpha):
 
     def reference(initial_active=None):
         p = build_vi_problem(m, sys, data, family)
-        return vi_solver._solve(p, "active_set", 1e-12, mesh=m, initial_active=initial_active)
+        return vi_solver._solve(p, "active_set", 1e-12, initial_active=initial_active)
 
     nested = reference()
     p = build_vi_problem(m, sys, data, family)
-    from_psor = reference(solve_psor(p, mesh=m).active_set)
+    from_psor = reference(solve_psor(p).active_set)
     everywhere = reference(p._operator.free)
     assert from_psor.iterations == 1
     for rep in (from_psor, everywhere):
@@ -325,7 +325,7 @@ def test_a_coarse_load_that_overflows_leaves_the_fine_solve_to_its_own_data():
     x, y = m.nodes.T
     region = np.flatnonzero((abs(x - 0.5) < 0.2) & (abs(y - 0.5) < 0.2))
     p = replace(p, F=np.where(np.isin(np.arange(p.size), region), -1e308, p.F))
-    assert vi_solver._coarse_contact(p, 16, 1e-10) is None
+    assert vi_solver._coarse_contact(p, 1e-10) is None
     rep = solve_active_set(p, initial_active=region)
     assert np.isfinite(rep.values()).all() and rep.residual <= 1e-10
     assert np.isin(region, rep.active_set).all()
@@ -460,11 +460,11 @@ def test_with_load_reuses_the_last_lu_factor(family, monkeypatch):
     _proxy_splu(monkeypatch, made.append)
     m, sys, data = contact_problem(n=8)
     p = build_vi_problem(m, sys, data, family)
-    rep = solve_active_set(p, mesh=m)
+    rep = solve_active_set(p)
     assert rep.active_set.size > 0
     count = len(made)
     q = p.with_load(1.001 * p.F)
-    again = solve_active_set(q, initial_active=rep.active_set, mesh=m)
+    again = solve_active_set(q, initial_active=rep.active_set)
     np.testing.assert_array_equal(again.active_set, rep.active_set)
     rhs = sys.M_H @ again.values()
     w = adjoint_lift(q, again.active_set, rhs)
@@ -472,7 +472,7 @@ def test_with_load_reuses_the_last_lu_factor(family, monkeypatch):
     assert len(made) == count
     # the shared factor gives the answers of a problem reduced afresh
     fresh = replace(p, F=1.001 * p.F)
-    np.testing.assert_array_equal(solve_active_set(fresh, mesh=m).values(), again.values())
+    np.testing.assert_array_equal(solve_active_set(fresh).values(), again.values())
     np.testing.assert_array_equal(adjoint_lift(fresh, again.active_set, rhs), w)
 
 
@@ -486,7 +486,7 @@ def test_an_operator_keeps_at_most_one_lu_factor(monkeypatch):
     _proxy_splu(monkeypatch, record)
     m, sys, data = contact_problem(n=16, g=-20.0, q=1.0)
     p = build_vi_problem(m, sys, data, DIRICHLET_LIMIT)
-    rep = solve_active_set(p, mesh=m)
+    rep = solve_active_set(p)
     assert rep.iterations > 2
     assert alive_at_make == [0] * len(alive_at_make)  # the old one goes first
     gc.collect()
@@ -594,7 +594,7 @@ def test_prolongation_matrix_is_prolongate(nc):
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
 def test_nested_start_gives_the_cold_answer_in_few_iterations(family):
     m, sys, data = contact_problem(n=64)
-    cold = solve_active_set(build_vi_problem(m, sys, data, family), mesh=m)
+    cold = solve_active_set(build_vi_problem(m, sys, data, family))
     rep = solve_state(m, sys, data, family)
     assert cold.iterations > 5 >= rep.iterations
     assert rep.values().tobytes() == cold.values().tobytes()
@@ -604,7 +604,7 @@ def test_nested_start_gives_the_cold_answer_in_few_iterations(family):
 def test_smoothed_nested_start_needs_at_most_two_fine_iterations(family):
     # the contact-v1 box control; unsmoothed prolonged sets take 3-4 here
     m, sys, data = contact_problem(n=64, g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
-    cold = solve_active_set(build_vi_problem(m, sys, data, family), mesh=m)
+    cold = solve_active_set(build_vi_problem(m, sys, data, family))
     rep = solve_state(m, sys, data, family)
     assert rep.iterations <= 2
     assert rep.values().tobytes() == cold.values().tobytes()
@@ -619,7 +619,7 @@ def test_nested_start_never_sweeps_a_non_positive_diagonal():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(MatrixError):
-            vi_solver._solve(p, "active_set", 1e-10, mesh=m)
+            vi_solver._solve(p, "active_set", 1e-10)
 
 
 def test_a_failed_coarse_solve_starts_the_fine_solve_cold(monkeypatch):
@@ -632,7 +632,7 @@ def test_a_failed_coarse_solve_starts_the_fine_solve_cold(monkeypatch):
             raise NonConvergenceError("coarse", residual=1.0)
         return solve(p, *args, **kwargs)
 
-    cold = solve_active_set(build_vi_problem(m, sys, data, DIRICHLET_LIMIT), mesh=m)
+    cold = solve_active_set(build_vi_problem(m, sys, data, DIRICHLET_LIMIT))
     monkeypatch.setattr(vi_solver, "solve_active_set", failing_on_coarse)
     rep = solve_state(m, sys, data, DIRICHLET_LIMIT)
     assert rep.iterations == cold.iterations
@@ -642,7 +642,7 @@ def test_a_failed_coarse_solve_starts_the_fine_solve_cold(monkeypatch):
 @pytest.mark.parametrize("n, division_count", [(33, 33), (32, None)])
 def test_no_nested_start_without_an_even_division_count(n, division_count):
     m, sys, data = contact_problem(n=n)
-    cold = solve_active_set(build_vi_problem(m, sys, data, DIRICHLET_LIMIT), mesh=m)
+    cold = solve_active_set(build_vi_problem(m, sys, data, DIRICHLET_LIMIT))
     m = replace(m, division_count=division_count)
     rep = solve_state(m, sys, data, DIRICHLET_LIMIT)
     assert rep.iterations == cold.iterations > 5
@@ -693,7 +693,7 @@ def _contact_v1_128(family):
     """The n = 128 contact-v1 box problem of a family and the bytes of its
     cold active-set answer."""
     m, sys, data = contact_problem(n=128, g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
-    cold = solve_active_set(build_vi_problem(m, sys, data, family), mesh=m)
+    cold = solve_active_set(build_vi_problem(m, sys, data, family))
     return m, sys, data, cold.values().tobytes()
 
 
@@ -783,5 +783,35 @@ def test_psor_sweeps_grow_like_one_over_h(family):
     sweeps = []
     for n in (24, 48):
         m, sys, data = contact_problem(n=n, g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
-        sweeps.append(solve_psor(build_vi_problem(m, sys, data, family), mesh=m).iterations)
+        sweeps.append(solve_psor(build_vi_problem(m, sys, data, family)).iterations)
     assert sweeps[1] <= 2.5 * sweeps[0]
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_a_problem_relaxes_psor_by_young_on_its_own_grid(family):
+    # the problem carries its division count, so a bare solve_psor takes
+    # Young's factor for it (84 Robin sweeps here; the fixed 1.5 takes 199)
+    m, sys, data = _contact_v1(24)
+    bare = solve_psor(build_vi_problem(m, sys, data, family))
+    assert bare.iterations == solve_state(m, sys, data, family, solver="psor").iterations
+    assert bare.iterations < 120
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_a_division_count_that_does_not_match_the_matrix_is_refused(family):
+    m, sys, data = contact_problem(n=8)
+    p = build_vi_problem(m, sys, data, family)
+    assert p.division_count == 8
+    assert p.with_load(2.0 * p.F).division_count == 8
+    for n in (7, 16):
+        with pytest.raises(InvalidParameterError, match="divisions"):
+            replace(p, division_count=n)
+    assert replace(p, division_count=None).division_count is None
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_a_state_report_holds_the_nodal_vector(family):
+    m, sys, data = contact_problem(n=8)
+    rep = solve_state(m, sys, data, family)
+    assert type(rep.solution) is np.ndarray and rep.solution.shape == (m.node_count,)
+    assert rep.values() is rep.solution
