@@ -14,8 +14,8 @@ data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0,
 levels = (4, 8, 16, 32)
 session = StudySession(data)  # shares state solves between the two sweeps
 
-state = h_sweep_state(data, 2.0, levels, session=session)
-cost = h_sweep_cost(data, 2.0, levels, session=session)
+state = h_sweep_state(session, 2.0, levels)
+cost = h_sweep_cost(session, 2.0, levels)
 
 print(state.reference)
 print("state V-norm errors:")

@@ -7,13 +7,13 @@ like a power of (alpha - 1); the V-norm error follows it down to the
 solver floor.
 """
 
-from vicontrol import ProblemData, alpha_sweep_state
+from vicontrol import ProblemData, StudySession, alpha_sweep_state
 from vicontrol.presets import box_control
 
 data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0,
                    g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
 alphas = [2.0 ** k for k in range(1, 15)]
-tables = alpha_sweep_state(data, n=16, alphas=alphas)
+tables = alpha_sweep_state(StudySession(data), n=16, alphas=alphas)
 
 print("alpha      trace error (gamma1)    V-norm error")
 for (am1, err_r, _), (_, err_v, _) in zip(tables["R"].rows, tables["V"].rows):

@@ -8,12 +8,12 @@ both at once along the diagonal alpha = 1/h (d3).  All three decrease,
 which is the numerical face of the commuting limit diagram.
 """
 
-from vicontrol import ProblemData, diagram
+from vicontrol import ProblemData, StudySession, diagram
 from vicontrol.presets import box_control
 
 data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0,
                    g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
-report = diagram(data, levels=(2, 4, 8, 16), alphas=(2.0, 4.0, 8.0, 16.0))
+report = diagram(StudySession(data), levels=(2, 4, 8, 16), alphas=(2.0, 4.0, 8.0, 16.0))
 
 print(report.reference)
 print("\n   h        alpha      J_opt        d1          d2          d3")

@@ -96,13 +96,14 @@ def as_control_field(mesh: Mesh, g: ControlSpec) -> ScalarField:
 
 def _scatter(mesh: Mesh, cells: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
     """Sum the local matrices of the cells (triangles or edges) into a global
-    one, exactly symmetric as they are; sums of exactly 0.0 are not stored."""
+    one, exactly symmetric as they are; sums of exactly 0.0 are not stored.
+    The pruned arrays are views of the unpruned sum; the copy frees it."""
     rows = np.broadcast_to(cells[:, :, None], local.shape).ravel()
     cols = np.broadcast_to(cells[:, None, :], local.shape).ravel()
     n = mesh.node_count
     a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     a.eliminate_zeros()
-    return a
+    return a.copy()
 
 
 def _edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:

@@ -354,12 +354,16 @@ def _order_check(table: convergence.RateTable, floor: float, zero_level: bool):
     return table.fitted_order >= floor, f"fitted order {table.fitted_order:.3f}"
 
 
+def _session(cfg: RunConfig) -> StudySession:
+    """The StudySession a study command runs on: its data, gamma1, solver and tol."""
+    return StudySession(_problem_data(cfg), cfg.gamma1, cfg.solver, cfg.tol)
+
+
 def cmd_sweep_h(cfg: RunConfig) -> int:
-    data = _problem_data(cfg)
+    session = _session(cfg)
     levels = _number_list(cfg.levels, "levels", int)
-    session = StudySession(data, cfg.gamma1, cfg.solver, cfg.tol)
-    state_tab = convergence.h_sweep_state(data, cfg.alpha, levels, session=session)
-    cost_tab = convergence.h_sweep_cost(data, cfg.alpha, levels, session=session)
+    state_tab = convergence.h_sweep_state(session, cfg.alpha, levels)
+    cost_tab = convergence.h_sweep_cost(session, cfg.alpha, levels)
     _write_rate_csv(cfg, "rate_h_state.csv", state_tab)
     _write_rate_csv(cfg, "rate_h_cost.csv", cost_tab)
 
@@ -380,10 +384,9 @@ def cmd_sweep_h(cfg: RunConfig) -> int:
 
 
 def cmd_sweep_alpha(cfg: RunConfig) -> int:
-    data = _problem_data(cfg)
+    session = _session(cfg)
     alphas = _number_list(cfg.alphas, "alphas")
-    session = StudySession(data, cfg.gamma1, cfg.solver, cfg.tol)
-    tables = convergence.alpha_sweep_state(data, cfg.n, alphas, session=session)
+    tables = convergence.alpha_sweep_state(session, cfg.n, alphas)
     _write_rate_csv(cfg, "rate_alpha_trace.csv", tables["R"])
     _write_rate_csv(cfg, "rate_alpha_v.csv", tables["V"])
 
@@ -411,15 +414,12 @@ def cmd_sweep_alpha(cfg: RunConfig) -> int:
 
 
 def cmd_diagram(cfg: RunConfig) -> int:
-    data = _problem_data(cfg)
     rep = convergence.diagram(
-        data,
+        _session(cfg),
         _number_list(cfg.diagram_levels, "diagram_levels", int),
         _number_list(cfg.diagram_alphas, "diagram_alphas"),
-        cfg.gamma1,
         opt_tol=cfg.opt_tol,
         opt_max_iter=cfg.opt_max_iter,
-        solver=cfg.solver,
     )
     body = ["h,alpha,J_opt,g_norm,d1,d2,d3"]
     for row in rep.rows:

@@ -113,7 +113,6 @@ class _Evaluator:
         self.mesh = mesh
         self.sys = sys
         self.data = data
-        self.family = family
         self.solver = solver
         self.tol = tol
         self.base = build_vi_problem(mesh, sys, data=replace(data, g=0.0), family=family)

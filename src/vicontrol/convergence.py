@@ -1,6 +1,9 @@
 """Limit studies: mesh refinement, large heat transfer, and their diagonal.
 
-Three studies are orchestrated here for a fixed problem data set:
+Every study runs on one :class:`StudySession`, which holds the problem
+data, gamma1, solver and tol and caches the grids and state solves of the
+(h, alpha) lattice.  A lattice point is (n, alpha): n divisions of the
+unit square and a Robin alpha, or alpha None for the Dirichlet limit.
 
 * ``h_sweep_*``: refine the mesh at fixed alpha and measure state / cost
   errors against a one-refinement-finer surrogate reference;
@@ -134,8 +137,9 @@ def strictly_decreasing(values) -> bool:
 class StudySession:
     """Meshes, assembled systems, and cached state solves for one data set.
 
-    Caching keys solves by (family, divisions, alpha), so sweeps that share
-    a lattice point reuse the identical solution vector bitwise.
+    The session is the one home of a study's data, gamma1, solver and tol.
+    States are cached by their lattice point (n, alpha), so sweeps that
+    share a point reuse the identical solution vector bitwise.
     """
 
     def __init__(self, data: ProblemData, gamma1="bottom", solver="active_set",
@@ -158,18 +162,25 @@ class StudySession:
             self._grid[n] = (mesh, assemble(mesh, self.data))
         return self._grid[n]
 
-    def state(self, n: int, family: str, alpha: float | None) -> ScalarField:
-        key = (family, n, None if alpha is None else float(alpha))
+    def point(self, n: int, alpha: float | None):
+        """(mesh, sys, data, family) of the lattice point (n, alpha): Robin
+        at alpha, or the Dirichlet limit when alpha is None."""
+        mesh, sys = self.grid(n)
+        if alpha is None:
+            return mesh, sys, self.data, DIRICHLET_LIMIT
+        return mesh, sys, replace(self.data, alpha=alpha), ROBIN
+
+    def state(self, n: int, alpha: float | None) -> ScalarField:
+        key = (n, None if alpha is None else float(alpha))
         if key not in self._states:
-            mesh, sys = self.grid(n)
-            data = self.data if family == DIRICHLET_LIMIT else replace(self.data, alpha=alpha)
+            mesh, sys, data, family = self.point(n, alpha)
             rep = solve_state(mesh, sys, data, family=family, solver=self.solver,
                               tol=self.tol)
             self._states[key] = ScalarField(mesh, rep.solution)
         return self._states[key]
 
-    def cost_value(self, n: int, family: str, alpha: float | None) -> float:
-        u = self.state(n, family, alpha).values
+    def cost_value(self, n: int, alpha: float | None) -> float:
+        u = self.state(n, alpha).values
         mesh, sys = self.grid(n)
         g = as_control_field(mesh, self.data.g).values
         return sum(_cost_terms(sys.M_H, self.data.M_cost, u, g))
@@ -184,81 +195,54 @@ def _check_levels(levels):
     return levels
 
 
-def _sweep_session(data, session) -> StudySession:
-    """The given session, which must be built on data, or a default one."""
-    if session is None:
-        return StudySession(data)
-    if session.data is not data:
-        raise InvalidParameterError("the session was built on other problem data")
-    return session
-
-
-def _h_sweep(data, levels, session, tag, reference, measure):
-    """Rows (h, error, tag) over the levels; ``measure(s, n_ref)`` takes the
-    reference on the n_ref = 2 * finest grid and returns the error of a level."""
+def _h_sweep(session: StudySession, alpha, levels, tag, reference, measure):
+    """Rows (h, error, tag) over the levels at the Robin alpha; ``measure(n_ref)``
+    takes the reference on the n_ref = 2 * finest grid and returns the error
+    of a level."""
     levels = _check_levels(levels)
-    s = _sweep_session(data, session)
+    if alpha is None:
+        raise InvalidParameterError("an h sweep needs a Robin alpha, got None")
     n_ref = 2 * levels[-1]
-    error = measure(s, n_ref)
-    rows = [(s.grid(n)[0].h, error(n), tag) for n in levels]
-    return _make_table("h", rows, reference.format(n_ref), guard=s.fit_floor)
+    error = measure(n_ref)
+    rows = [(session.grid(n)[0].h, error(n), tag) for n in levels]
+    return _make_table("h", rows, reference.format(n_ref), guard=session.fit_floor)
 
 
-def h_sweep_state(
-    data: ProblemData,
-    alpha: float,
-    levels,
-    session: StudySession | None = None,
-) -> RateTable:
+def h_sweep_state(session: StudySession, alpha: float, levels) -> RateTable:
     """State error in the V-norm under mesh refinement at fixed alpha.
 
     The reference is the solution on a one-more-refined mesh (twice the
     finest level); coarser solutions are prolonged exactly before taking
-    norms on the reference mesh.  A session built on data supplies gamma1,
-    solver and tol; the default one is ``StudySession(data)``.
+    norms on the reference mesh.
     """
 
-    def measure(s, n_ref):
-        mesh_ref, sys_ref = s.grid(n_ref)
-        u_ref = s.state(n_ref, ROBIN, alpha).values
+    def measure(n_ref):
+        mesh_ref, sys_ref = session.grid(n_ref)
+        u_ref = session.state(n_ref, alpha).values
         return lambda n: norm_V(
-            sys_ref, prolongate(s.state(n, ROBIN, alpha), mesh_ref).values - u_ref)
+            sys_ref, prolongate(session.state(n, alpha), mesh_ref).values - u_ref)
 
-    return _h_sweep(data, levels, session, "V",
+    return _h_sweep(session, alpha, levels, "V",
                     "surrogate_reference: robin state on n={} grid (one refinement "
                     "beyond the finest measured level)", measure)
 
 
-def h_sweep_cost(
-    data: ProblemData,
-    alpha: float,
-    levels,
-    session: StudySession | None = None,
-) -> RateTable:
-    """Cost gap |J_h(g) - J_ref(g)| under mesh refinement at fixed alpha.
+def h_sweep_cost(session: StudySession, alpha: float, levels) -> RateTable:
+    """Cost gap |J_h(g) - J_ref(g)| under mesh refinement at fixed alpha."""
 
-    The session supplies gamma1, solver and tol, as in :func:`h_sweep_state`.
-    """
+    def measure(n_ref):
+        j_ref = session.cost_value(n_ref, alpha)
+        return lambda n: abs(session.cost_value(n, alpha) - j_ref)
 
-    def measure(s, n_ref):
-        j_ref = s.cost_value(n_ref, ROBIN, alpha)
-        return lambda n: abs(s.cost_value(n, ROBIN, alpha) - j_ref)
-
-    return _h_sweep(data, levels, session, "J",
+    return _h_sweep(session, alpha, levels, "J",
                     "surrogate_reference: cost at n={} grid", measure)
 
 
-def alpha_sweep_state(
-    data: ProblemData,
-    n: int,
-    alphas,
-    session: StudySession | None = None,
-) -> dict[str, RateTable]:
+def alpha_sweep_state(session: StudySession, n: int, alphas) -> dict[str, RateTable]:
     """Distance to the Dirichlet-limit state as alpha grows, fixed mesh.
 
     Returns two tables keyed "R" (trace error on gamma1, fitted against
-    alpha - 1) and "V" (full V-norm error, for monotonicity checks).  The
-    session supplies gamma1, solver and tol, as in :func:`h_sweep_state`.
+    alpha - 1) and "V" (full V-norm error, for monotonicity checks).
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -267,18 +251,17 @@ def alpha_sweep_state(
         raise InvalidParameterError("alpha sweep requires alpha > 1")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidParameterError("alpha values must be strictly increasing")
-    s = _sweep_session(data, session)
-    mesh, sys = s.grid(n)
-    u_lim = s.state(n, DIRICHLET_LIMIT, None).values
+    sys = session.grid(n)[1]
+    u_lim = session.state(n, None).values
     rows_r, rows_v = [], []
     for a in alphas:
-        diff = s.state(n, ROBIN, a).values - u_lim
+        diff = session.state(n, a).values - u_lim
         rows_r.append((a - 1.0, norm_R(sys, diff), "R"))
         rows_v.append((a - 1.0, norm_V(sys, diff), "V"))
     ref = f"dirichlet-limit state on the same n={n} grid"
     return {
-        "R": _make_table("alpha_minus_1", rows_r, ref, guard=s.fit_floor),
-        "V": _make_table("alpha_minus_1", rows_v, ref, guard=s.fit_floor),
+        "R": _make_table("alpha_minus_1", rows_r, ref, guard=session.fit_floor),
+        "V": _make_table("alpha_minus_1", rows_v, ref, guard=session.fit_floor),
     }
 
 
@@ -321,20 +304,15 @@ class DiagramReport:
         return self.d1_ok and self.d2_ok and self.d3_ok
 
 
-def diagram(
-    data: ProblemData,
-    levels,
-    alphas,
-    gamma1="bottom",
-    opt_tol: float = 1e-7,
-    opt_max_iter: int = 2000,
-    solver="active_set",
-) -> DiagramReport:
+def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
+            opt_max_iter: int = 2000) -> DiagramReport:
     """Optimal-control lattice with its three convergence distances.
 
+    The session supplies data, gamma1, solver and grids; the optimizer solves
+    its states to ``control.OPT_STATE_TOL``, so ``session.tol`` is not read.
     The surrogate corners live on a mesh four times finer than the finest
     measured level (two extra refinements).  Lattice points are solved
-    independently and cached by (divisions, alpha), so shared corners reuse
+    independently and cached by (n, alpha), so shared corners reuse
     identical results.
     """
     levels = sorted(int(n) for n in levels)
@@ -342,22 +320,16 @@ def diagram(
     if len(levels) < 2 or len(alphas) < 2:
         raise InvalidParameterError("diagram needs at least 2 levels and 2 alphas")
     n_ref = 4 * levels[-1]
-    grid = StudySession(data, gamma1, solver).grid
     results: dict = {}
 
     def opt(n, alpha) -> OptimizeReport:
-        key = (n, "inf" if alpha is None else float(alpha))
-        if key not in results:
-            mesh, sys = grid(n)
-            d = data if alpha is None else replace(data, alpha=alpha)
-            family = DIRICHLET_LIMIT if alpha is None else ROBIN
-            results[key] = optimize(
-                mesh, sys, d, family=family, method="proj_grad_adjoint",
-                tol=opt_tol, max_iter=opt_max_iter, solver=solver,
-            )
-        return results[key]
+        if (n, alpha) not in results:
+            mesh, sys, data, family = session.point(n, alpha)
+            results[n, alpha] = optimize(mesh, sys, data, family=family, tol=opt_tol,
+                                         max_iter=opt_max_iter, solver=session.solver)
+        return results[n, alpha]
 
-    mesh_ref, sys_ref = grid(n_ref)
+    mesh_ref, sys_ref = session.grid(n_ref)
 
     def dist_on_ref(rep, rep_ref):
         diff = prolongate(rep.g_opt, mesh_ref).values - rep_ref.g_opt.values
@@ -365,7 +337,7 @@ def diagram(
 
     rows = []
     for n in levels:
-        mesh_n, sys_n = grid(n)
+        mesh_n, sys_n = session.grid(n)
         rep_dir = opt(n, None)
         for a in alphas:
             rep = opt(n, a)
@@ -377,7 +349,7 @@ def diagram(
     corner = opt(n_ref, None)  # joint surrogate corner
     d3_seq = []
     for n in levels:
-        mesh_n, sys_n = grid(n)
+        mesh_n, sys_n = session.grid(n)
         a_diag = 1.0 / mesh_n.h
         rep = opt(n, a_diag)
         d3 = dist_on_ref(rep, corner)

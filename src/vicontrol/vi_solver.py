@@ -235,7 +235,7 @@ def _checked_operator(p: VIProblem, tol: float) -> _Operator:
 def _free_split(p: VIProblem):
     """Free-node reduction with symmetric load correction for pinned rows."""
     op = p._operator
-    return op.free, op.a_ff, p.F[op.free] - op.shift, op.lb_f, op.template
+    return op.free, op.a_ff, p.F[op.free] - op.shift, op.lb_f
 
 
 def _complementarity(gap, r) -> float:
@@ -306,7 +306,7 @@ def solve_psor(
     op = _checked_operator(p, tol)
     n = p.division_count
     omega = PSOR_OMEGA if n is None else 2.0 / (1.0 + np.sin(np.pi / max(n, 2)))
-    free, a_ff, f_f, lb_f, _ = _free_split(p)
+    free, a_ff, f_f, lb_f = _free_split(p)
     if u0 is None:
         u_f = np.maximum(lb_f, 0.0)
     else:
@@ -347,7 +347,7 @@ def solve_active_set(
     from that set, and :func:`adjoint_lift` on it, reuse it.
     """
     op = _checked_operator(p, tol)
-    _, a_ff, f_f, lb_f, _ = _free_split(p)
+    _, a_ff, f_f, lb_f = _free_split(p)
     active = op.free_mask([] if initial_active is None else initial_active)
     seen = set()
     res = np.inf
@@ -388,7 +388,7 @@ def solve_enumerate(p: VIProblem) -> VIReport:
     primal/dual feasibility margin (the unique VI solution up to rounding).
     Exponential; refuses more than ENUMERATE_MAX_FREE free nodes.
     """
-    free, a_ff, f_f, lb_f, _ = _free_split(p)
+    free, a_ff, f_f, lb_f = _free_split(p)
     k = free.size
     if k > ENUMERATE_MAX_FREE:
         raise InvalidParameterError(
@@ -486,7 +486,7 @@ def _coarse_contact(p: VIProblem, tol: float) -> np.ndarray | None:
         u_c = solve_active_set(pc, tol=tol, initial_active=_coarse_contact(pc, tol))
     except (NonConvergenceError, InvalidParameterError):
         return None
-    free, a_ff, f_f, lb_f, _ = _free_split(p)
+    free, a_ff, f_f, lb_f = _free_split(p)
     diag = p._operator.diag
     u_f = np.maximum(lb_f, (P @ u_c.values())[free])
     for _ in range(SMOOTH_SWEEPS):

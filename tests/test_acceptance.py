@@ -118,7 +118,7 @@ def test_criterion_03_lipschitz_dependence():
 
 def test_criterion_04_state_rate_in_h():
     data = ProblemData(alpha=2.0, **CONTACT)
-    table = h_sweep_state(data, 2.0, [4, 8, 16, 32])
+    table = h_sweep_state(StudySession(data), 2.0, [4, 8, 16, 32])
     errs = table.errors()
     ok = all(b < a for a, b in zip(errs, errs[1:]))
     ok = ok and table.fitted_order is not None and table.fitted_order >= 0.45
@@ -129,7 +129,7 @@ def test_criterion_04_state_rate_in_h():
 
 def test_criterion_05_cost_gap_rate_in_h():
     data = ProblemData(alpha=2.0, **CONTACT)
-    table = h_sweep_cost(data, 2.0, [4, 8, 16, 32])
+    table = h_sweep_cost(StudySession(data), 2.0, [4, 8, 16, 32])
     errs = table.errors()
     ok = all(b < a for a, b in zip(errs, errs[1:]))
     ok = ok and table.fitted_order is not None and table.fitted_order >= 0.45
@@ -139,8 +139,8 @@ def test_criterion_05_cost_gap_rate_in_h():
 
 def test_criterion_06_alpha_rate_to_dirichlet_limit():
     data = ProblemData(alpha=2.0, **CONTACT)
-    tables = alpha_sweep_state(data, 16, [2.0**k for k in range(1, 15)],
-                               session=StudySession(data, tol=1e-10))
+    tables = alpha_sweep_state(StudySession(data, tol=1e-10), 16,
+                               [2.0**k for k in range(1, 15)])
     slope = tables["R"].fitted_order
     guard = 100 * 1e-10
     v_errs = tables["V"].errors()
@@ -205,7 +205,7 @@ def test_criterion_08_optimizer_bound_and_oracle():
 
 def test_criterion_09_commutative_diagram():
     data = ProblemData(alpha=2.0, **CONTACT)
-    rep = diagram(data, [2, 4, 8, 16], [2.0, 4.0, 8.0, 16.0])
+    rep = diagram(StudySession(data), [2, 4, 8, 16], [2.0, 4.0, 8.0, 16.0])
     detail = (
         "d1 " + ">".join(f"{d:.2e}" for d in rep.d1_sequence)
         + "; d2 " + ">".join(f"{d:.2e}" for d in rep.d2_sequence)

@@ -3,7 +3,7 @@ import pytest
 
 from vicontrol.assembly import ProblemData
 from vicontrol.cli import _build_parser, main
-from vicontrol.convergence import StudySession, alpha_sweep_state
+from vicontrol.convergence import StudySession, alpha_sweep_state, diagram
 from vicontrol.presets import box_control
 
 
@@ -296,9 +296,24 @@ def test_sweep_alpha_honours_gamma1_and_solver(tmp_path):
     data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0,
                        g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))  # contact-v1
     session = StudySession(data, "left", "psor", 1e-10)
-    tables = alpha_sweep_state(data, 8, [a for a, _ in chosen], session=session)
+    tables = alpha_sweep_state(session, 8, [a for a, _ in chosen])
     assert [e for _, e in chosen] == tables["R"].errors().tolist()
     assert chosen != trace_rows()
+
+
+def test_diagram_runs_on_the_session_of_its_settings(tmp_path):
+    out = tmp_path / "run"
+    code = main(["diagram", "--set", "gamma1=left", "--set", "solver=psor",
+                 "--set", "diagram_levels=2,4", "--set", "diagram_alphas=2,4",
+                 "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out / "diagram.csv")
+    data = ProblemData(alpha=2.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)  # the CLI defaults
+    rep = diagram(StudySession(data, "left", "psor"), [2, 4], [2.0, 4.0],
+                  opt_tol=1e-8, opt_max_iter=500)
+    expected = [[format(v, ".17g") for v in (r.h, r.alpha, r.J_opt, r.g_norm, r.d1, r.d2, r.d3)]
+                for r in rep.rows]
+    assert rows == expected
 
 
 @pytest.mark.parametrize("family", ["robin", "dirichlet_limit"])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from vicontrol import convergence
 from vicontrol.assembly import ProblemData
+from vicontrol.control import optimize
 from vicontrol.convergence import (
     ZERO_NOTE,
     RateTable,
@@ -17,7 +19,7 @@ from vicontrol.convergence import (
 from vicontrol.errors import InsufficientDataError, InvalidParameterError
 from vicontrol.mesh import ScalarField
 from vicontrol.presets import box_control
-from vicontrol.vi_solver import DIRICHLET_LIMIT, ROBIN
+from vicontrol.vi_solver import DIRICHLET_LIMIT, solve_state
 
 
 def contact_data(alpha=2.0):
@@ -50,7 +52,7 @@ def test_rate_table_validation():
 
 
 def test_quiet_data_gives_all_zero_errors():
-    table = h_sweep_state(quiet_data(), 2.0, [2, 4, 8, 16])
+    table = h_sweep_state(StudySession(quiet_data()), 2.0, [2, 4, 8, 16])
     np.testing.assert_allclose(table.errors(), 0.0, atol=5e-10)
     # solver noise may leave exact zeros or near-zeros; either way no fit
     # above the guard is possible and the note explains it
@@ -59,7 +61,7 @@ def test_quiet_data_gives_all_zero_errors():
 
 
 def test_contact_state_errors_decrease_with_refinement():
-    table = h_sweep_state(contact_data(), 2.0, [2, 4, 8, 16])
+    table = h_sweep_state(StudySession(contact_data()), 2.0, [2, 4, 8, 16])
     errs = table.errors()
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert table.fitted_order is not None and table.fitted_order >= 0.45
@@ -68,7 +70,7 @@ def test_contact_state_errors_decrease_with_refinement():
 
 def test_contact_cost_gap_decreases_with_refinement():
     # levels are multiples of 4 so the control box aligns with every mesh
-    table = h_sweep_cost(contact_data(), 2.0, [4, 8, 16, 32])
+    table = h_sweep_cost(StudySession(contact_data()), 2.0, [4, 8, 16, 32])
     errs = table.errors()
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert table.fitted_order is not None and table.fitted_order >= 0.45
@@ -76,11 +78,11 @@ def test_contact_cost_gap_decreases_with_refinement():
 
 def test_sweeps_require_enough_levels():
     with pytest.raises(InvalidParameterError):
-        h_sweep_state(contact_data(), 2.0, [2, 4, 8])
+        h_sweep_state(StudySession(contact_data()), 2.0, [2, 4, 8])
 
 
 def test_alpha_sweep_trace_rate_and_v_monotonicity():
-    tables = alpha_sweep_state(contact_data(), 8, [2.0**k for k in range(1, 11)])
+    tables = alpha_sweep_state(StudySession(contact_data()), 8, [2.0**k for k in range(1, 11)])
     assert tables["R"].fitted_order is not None
     assert tables["R"].fitted_order <= -0.45
     assert monotone_nonincreasing(tables["V"].errors())
@@ -89,13 +91,13 @@ def test_alpha_sweep_trace_rate_and_v_monotonicity():
 
 def test_alpha_sweep_rejects_small_alpha():
     with pytest.raises(InvalidParameterError):
-        alpha_sweep_state(contact_data(), 4, [0.5, 2.0, 4.0])
+        alpha_sweep_state(StudySession(contact_data()), 4, [0.5, 2.0, 4.0])
     with pytest.raises(InvalidParameterError):
-        alpha_sweep_state(contact_data(), 4, [])
+        alpha_sweep_state(StudySession(contact_data()), 4, [])
 
 
 def test_quiet_alpha_sweep_is_zero():
-    tables = alpha_sweep_state(quiet_data(), 4, [2.0, 4.0, 8.0, 16.0])
+    tables = alpha_sweep_state(StudySession(quiet_data()), 4, [2.0, 4.0, 8.0, 16.0])
     np.testing.assert_allclose(tables["R"].errors(), 0.0, atol=5e-10)
     np.testing.assert_allclose(tables["V"].errors(), 0.0, atol=5e-10)
 
@@ -103,31 +105,29 @@ def test_quiet_alpha_sweep_is_zero():
 def test_sweeps_share_lattice_corner_bitwise():
     # the h-sweep at the largest alpha and the alpha-sweep at its finest
     # mesh visit the same lattice point; a shared session solves it once
-    data = contact_data()
-    session = StudySession(data)
+    session = StudySession(contact_data())
     levels = [2, 4, 8, 16]
     alphas = [2.0, 4.0, 8.0]
-    h_sweep_state(data, alphas[-1], levels, session=session)
-    before = session.state(levels[-1], ROBIN, alphas[-1]).values
-    alpha_sweep_state(data, levels[-1], alphas, session=session)
-    after = session.state(levels[-1], ROBIN, alphas[-1]).values
+    h_sweep_state(session, alphas[-1], levels)
+    before = session.state(levels[-1], alphas[-1]).values
+    alpha_sweep_state(session, levels[-1], alphas)
+    after = session.state(levels[-1], alphas[-1]).values
     assert before is after  # cached: identical array, hence bitwise equal
 
 
 def test_a_session_state_is_a_field_on_the_session_mesh():
     session = StudySession(contact_data())
-    for family, alpha in ((ROBIN, 2.0), (DIRICHLET_LIMIT, None)):
-        u = session.state(8, family, alpha)
+    for alpha in (2.0, None):
+        u = session.state(8, alpha)
         assert isinstance(u, ScalarField) and u.mesh is session.grid(8)[0]
-        assert session.state(8, family, alpha) is u
+        assert session.state(8, alpha) is u
 
 
 def test_reference_levels():
-    data = contact_data()
-    session = StudySession(data)
-    h_sweep_state(data, 2.0, [2, 4, 8, 16], session=session)
+    session = StudySession(contact_data())
+    h_sweep_state(session, 2.0, [2, 4, 8, 16])
     assert 32 in session._grid  # one refinement beyond the finest level
-    rep = diagram(quiet_data(), [2, 4], [2.0, 4.0])
+    rep = diagram(StudySession(quiet_data()), [2, 4], [2.0, 4.0])
     assert "n=16" in rep.reference  # two refinements beyond finest (4 -> 16)
 
 
@@ -135,7 +135,7 @@ def test_diagram_quiet_case_near_degenerate():
     # with no flux and a huge control weight, every corner's optimal state
     # stays (near-)constant b and the optimal costs coincide to O(1/M)
     data = ProblemData(alpha=2.0, b=1.0, q=0.0, M_cost=1e8, g=0.0)
-    rep = diagram(data, [2, 4, 8], [2.0, 4.0, 8.0], opt_tol=1e-3)
+    rep = diagram(StudySession(data), [2, 4, 8], [2.0, 4.0, 8.0], opt_tol=1e-3)
     js = [r.J_opt for r in rep.rows]
     assert max(js) - min(js) <= 1e-6
     assert all(abs(j - 0.5) <= 1e-6 for j in js)
@@ -143,7 +143,7 @@ def test_diagram_quiet_case_near_degenerate():
 
 
 def test_diagram_contact_distances_decrease():
-    rep = diagram(contact_data(), [2, 4, 8], [2.0, 4.0, 8.0])
+    rep = diagram(StudySession(contact_data()), [2, 4, 8], [2.0, 4.0, 8.0])
     assert len(rep.d1_sequence) == 3
     assert len(rep.d2_sequence) == 3
     assert len(rep.d3_sequence) == 3
@@ -161,21 +161,45 @@ def test_interp_orders_for_smooth_function():
 def test_a_sweep_takes_its_fit_guard_from_the_given_session():
     d = contact_data()
     levels = [2, 4, 8, 16]
-    plain = h_sweep_state(d, 2.0, levels)
+    plain = h_sweep_state(StudySession(d), 2.0, levels)
     session = StudySession(d, tol=1e-3)
-    given = h_sweep_state(d, 2.0, levels, session=session)
+    given = h_sweep_state(session, 2.0, levels)
     errs, floor = given.errors(), session.fit_floor
     assert floor == 100 * 1e-3 and plain.note == "" and given.note == ZERO_NOTE
     assert np.any(errs < floor) and np.sum(errs >= floor) >= 3
     assert given.fitted_order == fit_order([(h, e) for h, e, _ in given.rows if e >= floor])
 
 
-@pytest.mark.parametrize("sweep", [
-    lambda d, s: h_sweep_state(d, 2.0, [2, 4, 8, 16], session=s),
-    lambda d, s: h_sweep_cost(d, 2.0, [2, 4, 8, 16], session=s),
-    lambda d, s: alpha_sweep_state(d, 4, [2.0, 4.0, 8.0], session=s),
-], ids=["h_sweep_state", "h_sweep_cost", "alpha_sweep_state"])
-def test_a_sweep_rejects_a_session_built_on_other_data(sweep):
-    # the session's data used to win silently over the data argument
-    with pytest.raises(InvalidParameterError, match="other problem data"):
-        sweep(contact_data(), StudySession(quiet_data()))
+def test_the_dirichlet_limit_point_is_alpha_none():
+    data = contact_data()
+    session = StudySession(data)
+    u = session.state(8, None)
+    assert session.state(8, None) is u
+    mesh, sys = session.grid(8)
+    direct = solve_state(mesh, sys, data, family=DIRICHLET_LIMIT, tol=session.tol)
+    assert u.values.tobytes() == direct.solution.tobytes()
+
+
+@pytest.mark.parametrize("sweep", [h_sweep_state, h_sweep_cost])
+def test_an_h_sweep_refuses_alpha_none(sweep):
+    # an h sweep is a Robin sweep; alpha None must not become a Dirichlet-limit one
+    with pytest.raises(InvalidParameterError):
+        sweep(StudySession(contact_data()), None, [2, 4, 8, 16])
+
+
+def test_a_diagram_after_a_sweep_reuses_the_session_grids(monkeypatch):
+    session = StudySession(quiet_data())
+    h_sweep_state(session, 2.0, [2, 4, 8, 16])
+    grids = dict(session._grid)
+    seen = []
+
+    def recording_optimize(mesh, sys, data, **kw):
+        seen.append((mesh, sys))
+        return optimize(mesh, sys, data, **kw)
+
+    monkeypatch.setattr(convergence, "optimize", recording_optimize)
+    monkeypatch.setattr(convergence, "build_unit_square", None)  # no new grid may be built
+    diagram(session, [2, 8], [2.0, 4.0], opt_tol=1e-3)
+    assert session._grid.keys() == grids.keys()
+    pairs = {(id(mesh), id(sys)) for mesh, sys in seen}
+    assert pairs == {(id(grids[n][0]), id(grids[n][1])) for n in (2, 8, 32)}
