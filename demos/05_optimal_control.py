@@ -16,7 +16,7 @@ mesh = build_unit_square(8)
 data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
 system = assemble(mesh, data)
 
-report = optimize(mesh, system, data, family="robin", tol=1e-9)
+report = optimize(system, data, family="robin", tol=1e-9)
 u0 = solve_state(mesh, system, data, family="robin").values()
 
 print(f"iterations: {report.iterations}, final gradient H-norm: "
@@ -29,8 +29,8 @@ print(f"||g_opt||_H = {norm_H(system, report.g_opt):.6f} "
 
 tiny = build_unit_square(2)
 tiny_sys = assemble(tiny, data)
-grad = optimize(tiny, tiny_sys, data, family="robin", tol=1e-9)
-compass = optimize(tiny, tiny_sys, data, family="robin", method="coord_search",
+grad = optimize(tiny_sys, data, family="robin", tol=1e-9)
+compass = optimize(tiny_sys, data, family="robin", method="coord_search",
                    tol=1e-6, max_iter=20000)
 print(f"\nn=2 cross-check: gradient J = {grad.J_opt:.10f}, "
       f"compass J = {compass.J_opt:.10f} "

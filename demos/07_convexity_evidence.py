@@ -15,7 +15,7 @@ mesh = build_unit_square(4)
 data = ProblemData(alpha=1.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
 system = assemble(mesh, data)
 
-report = check_open_problems(mesh, system, data, trials=200, seed=42)
+report = check_open_problems(system, data, trials=200, seed=42)
 
 worst_pw = min(t.min_margin_pointwise for t in report.trials)
 worst_h = min(t.h_norm_margin for t in report.trials)

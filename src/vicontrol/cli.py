@@ -281,24 +281,24 @@ def _write_rate_csv(cfg: RunConfig, name: str, table: convergence.RateTable):
 
 
 def _mesh_setup(cfg: RunConfig):
-    """Mesh, problem data and assembled system of a mesh-bound command;
-    writes the mesh when ``dump_mesh`` is set."""
+    """Problem data and assembled system of a mesh-bound command; the mesh
+    is ``sys_.mesh``, written out when ``dump_mesh`` is set."""
     mesh = build_unit_square(cfg.n, cfg.gamma1)
     data = _problem_data(cfg, mesh)
     sys_ = assemble(mesh, data)
     if cfg.dump_mesh:
         Path(cfg.out).mkdir(parents=True, exist_ok=True)
         write_mesh(mesh, Path(cfg.out) / "mesh.txt")
-    return mesh, data, sys_
+    return data, sys_
 
 
 def cmd_state(cfg: RunConfig) -> int:
-    mesh, data, sys_ = _mesh_setup(cfg)
+    data, sys_ = _mesh_setup(cfg)
     rep = solve_state(
-        mesh, sys_, data, family=cfg.family, solver=cfg.solver, tol=cfg.tol,
+        sys_.mesh, sys_, data, family=cfg.family, solver=cfg.solver, tol=cfg.tol,
         max_iter=cfg.max_iter or None, cross_check=cfg.cross_check,
     )
-    body = ["x,y,u", format_rows("%.17g,%.17g,%.17g", mesh.nodes, rep.values())]
+    body = ["x,y,u", format_rows("%.17g,%.17g,%.17g", sys_.mesh.nodes, rep.values())]
     _write(cfg, "state.csv", body)
     report = [
         f"family: {cfg.family}",
@@ -312,12 +312,12 @@ def cmd_state(cfg: RunConfig) -> int:
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
-    mesh, data, sys_ = _mesh_setup(cfg)
+    data, sys_ = _mesh_setup(cfg)
     rep = optimize(
-        mesh, sys_, data, family=cfg.family, method=cfg.opt_method,
+        sys_, data, family=cfg.family, method=cfg.opt_method,
         tol=cfg.opt_tol, max_iter=cfg.opt_max_iter, solver=cfg.solver,
     )
-    body = ["x,y,g", format_rows("%.17g,%.17g,%.17g", mesh.nodes, rep.g_opt.values)]
+    body = ["x,y,g", format_rows("%.17g,%.17g,%.17g", sys_.mesh.nodes, rep.g_opt.values)]
     _write(cfg, "g_opt.csv", body)
     hist = ["iter,J"]
     for k, j in enumerate(rep.history):
@@ -443,9 +443,9 @@ def cmd_diagram(cfg: RunConfig) -> int:
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:
-    mesh, data, sys_ = _mesh_setup(cfg)
+    data, sys_ = _mesh_setup(cfg)
     rep = check_open_problems(
-        mesh, sys_, data, trials=cfg.trials, seed=cfg.seed, family=cfg.family,
+        sys_, data, trials=cfg.trials, seed=cfg.seed, family=cfg.family,
         g_low=cfg.g_low, g_high=cfg.g_high, solver=cfg.solver,
     )
     body = ["trial,mu,min_margin_pointwise,h_norm_margin,convexity_gap"]

@@ -23,8 +23,8 @@ import numpy as np
 
 from .assembly import AssembledSystem, ProblemData, as_control_field, norm_H
 from .errors import InvalidParameterError, LineSearchError, NonConvergenceError
-from .mesh import Mesh, ScalarField
-from .vi_solver import ROBIN, VIReport, _solve, adjoint_lift, build_vi_problem
+from .mesh import ScalarField
+from .vi_solver import DEFAULT_TOL, ROBIN, VIReport, _solve, adjoint_lift, build_vi_problem
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -109,13 +109,12 @@ class _Evaluator:
     factor.
     """
 
-    def __init__(self, mesh, sys, data, family, solver="active_set", tol=1e-11):
-        self.mesh = mesh
+    def __init__(self, sys, data, family, solver="active_set", tol=DEFAULT_TOL):
         self.sys = sys
         self.data = data
         self.solver = solver
         self.tol = tol
-        self.base = build_vi_problem(mesh, sys, data=replace(data, g=0.0), family=family)
+        self.base = build_vi_problem(sys.mesh, sys, data=replace(data, g=0.0), family=family)
         self.warm: np.ndarray | None = None
 
     def state(self, gvals: np.ndarray) -> VIReport:
@@ -142,20 +141,12 @@ class _Evaluator:
         return self.data.M_cost * gvals + w
 
 
-def cost(
-    mesh: Mesh,
-    sys: AssembledSystem,
-    data: ProblemData,
-    family: str = ROBIN,
-) -> CostReport:
-    """Evaluate the cost of data.g from one active-set state solve to tol 1e-11."""
-    ev = _Evaluator(mesh, sys, data, family)
-    g = as_control_field(mesh, data.g)
-    return ev.cost(g.values)
+def cost(sys: AssembledSystem, data: ProblemData, family: str = ROBIN) -> CostReport:
+    """Evaluate the cost of data.g from one active-set state solve to DEFAULT_TOL."""
+    return _Evaluator(sys, data, family).cost(as_control_field(sys.mesh, data.g).values)
 
 
 def optimize(
-    mesh: Mesh,
     sys: AssembledSystem,
     data: ProblemData,
     family: str = ROBIN,
@@ -177,8 +168,8 @@ def optimize(
     """
     if data.M_cost <= 0:
         raise InvalidParameterError("optimization requires M_cost > 0")
-    ev = _Evaluator(mesh, sys, data, family, solver=solver, tol=OPT_STATE_TOL)
-    g = np.zeros(mesh.node_count)
+    ev = _Evaluator(sys, data, family, solver=solver, tol=OPT_STATE_TOL)
+    g = np.zeros(sys.mesh.node_count)
     if method == "proj_grad_adjoint":
         return _proj_grad(ev, g, tol, max_iter)
     if method == "coord_search":
@@ -283,7 +274,7 @@ def _coord_search(ev: _Evaluator, g: np.ndarray, tol: float, max_iter: int) -> O
 
 def _opt_report(ev, g, cost_report, iterations, measure, method, history) -> OptimizeReport:
     return OptimizeReport(
-        g_opt=ScalarField(ev.mesh, g.copy()),
+        g_opt=ScalarField(ev.sys.mesh, g.copy()),
         J_opt=cost_report.value,
         iterations=iterations,
         gradient_norm_final=float(measure),
@@ -293,7 +284,6 @@ def _opt_report(ev, g, cost_report, iterations, measure, method, history) -> Opt
 
 
 def convex_combination_states(
-    mesh: Mesh,
     sys: AssembledSystem,
     data: ProblemData,
     g1,
@@ -304,14 +294,14 @@ def convex_combination_states(
     """States attached to a convex combination of two controls.
 
     Returns u3 = mu u_{g1} + (1 - mu) u_{g2} (combination of states) and
-    u4 = the state of mu g1 + (1 - mu) g2 (active-set solves to tol 1e-11).
+    u4 = the state of mu g1 + (1 - mu) g2 (active-set solves to DEFAULT_TOL).
     """
     if not (0.0 <= mu <= 1.0):
         raise InvalidParameterError(f"mu must lie in [0, 1], got {mu}")
-    ev = _Evaluator(mesh, sys, data, family)
-    v1, v2 = (as_control_field(mesh, g).values for g in (g1, g2))
+    ev = _Evaluator(sys, data, family)
+    v1, v2 = (as_control_field(sys.mesh, g).values for g in (g1, g2))
     _, u1, u2, u3, u4 = _combination_states(ev, v1, v2, mu)
-    return {"u3": ScalarField(mesh, u3), "u4": ScalarField(mesh, u4)}
+    return {"u3": ScalarField(sys.mesh, u3), "u4": ScalarField(sys.mesh, u4)}
 
 
 def _combination_states(ev: _Evaluator, g1, g2, mu: float):
@@ -323,7 +313,6 @@ def _combination_states(ev: _Evaluator, g1, g2, mu: float):
 
 
 def check_open_problems(
-    mesh: Mesh,
     sys: AssembledSystem,
     data: ProblemData,
     trials: int,
@@ -339,7 +328,7 @@ def check_open_problems(
     mu uniform in [0, 1], then records the pointwise margin min(u3 - u4),
     the H-norm margin ||u3||_H - ||u4||_H, and the convexity gap
     mu J(g1) + (1-mu) J(g2) - J(g3).  States are solved with ``solver`` to
-    tol 1e-11.  Negative margins are findings, not failures; witnesses carry
+    DEFAULT_TOL.  Negative margins are findings, not failures; witnesses carry
     the inputs.  Asserts only the guaranteed feasibility u4 >= 0.
     """
     if trials < 1:
@@ -348,14 +337,14 @@ def check_open_problems(
         raise InvalidParameterError(f"need finite g_low <= g_high, g_high - g_low finite, "
                                     f"got {g_low} and {g_high}")
     rng = np.random.default_rng(seed)
-    ev = _Evaluator(mesh, sys, data, family, solver=solver)
+    ev = _Evaluator(sys, data, family, solver=solver)
     m_h = sys.M_H
     mcost = data.M_cost
     rows = []
     witnesses = []
     for k in range(trials):
-        g1 = rng.uniform(g_low, g_high, mesh.node_count)
-        g2 = rng.uniform(g_low, g_high, mesh.node_count)
+        g1 = rng.uniform(g_low, g_high, sys.mesh.node_count)
+        g2 = rng.uniform(g_low, g_high, sys.mesh.node_count)
         mu = float(rng.uniform(0.0, 1.0))
         g3, u1, u2, u3, u4 = _combination_states(ev, g1, g2, mu)
         if float(np.min(u4)) < -NONNEG_GUARD:

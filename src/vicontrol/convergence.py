@@ -135,7 +135,7 @@ def strictly_decreasing(values) -> bool:
 
 
 class StudySession:
-    """Meshes, assembled systems, and cached state solves for one data set.
+    """Assembled grids and cached state solves for one data set.
 
     The session is the one home of a study's data, gamma1, solver and tol.
     States are cached by their lattice point (n, alpha), so sweeps that
@@ -157,32 +157,31 @@ class StudySession:
         return FIT_GUARD_FACTOR * self.tol
 
     def grid(self, n: int):
+        """The AssembledSystem of the n-division grid, cached; its mesh is ``.mesh``."""
         if n not in self._grid:
-            mesh = build_unit_square(n, self.gamma1)
-            self._grid[n] = (mesh, assemble(mesh, self.data))
+            self._grid[n] = assemble(build_unit_square(n, self.gamma1), self.data)
         return self._grid[n]
 
     def point(self, n: int, alpha: float | None):
-        """(mesh, sys, data, family) of the lattice point (n, alpha): Robin
-        at alpha, or the Dirichlet limit when alpha is None."""
-        mesh, sys = self.grid(n)
+        """(sys, data, family) of the lattice point (n, alpha): Robin at
+        alpha, or the Dirichlet limit when alpha is None."""
         if alpha is None:
-            return mesh, sys, self.data, DIRICHLET_LIMIT
-        return mesh, sys, replace(self.data, alpha=alpha), ROBIN
+            return self.grid(n), self.data, DIRICHLET_LIMIT
+        return self.grid(n), replace(self.data, alpha=alpha), ROBIN
 
     def state(self, n: int, alpha: float | None) -> ScalarField:
         key = (n, None if alpha is None else float(alpha))
         if key not in self._states:
-            mesh, sys, data, family = self.point(n, alpha)
-            rep = solve_state(mesh, sys, data, family=family, solver=self.solver,
+            sys, data, family = self.point(n, alpha)
+            rep = solve_state(sys.mesh, sys, data, family=family, solver=self.solver,
                               tol=self.tol)
-            self._states[key] = ScalarField(mesh, rep.solution)
+            self._states[key] = ScalarField(sys.mesh, rep.solution)
         return self._states[key]
 
     def cost_value(self, n: int, alpha: float | None) -> float:
         u = self.state(n, alpha).values
-        mesh, sys = self.grid(n)
-        g = as_control_field(mesh, self.data.g).values
+        sys = self.grid(n)
+        g = as_control_field(sys.mesh, self.data.g).values
         return sum(_cost_terms(sys.M_H, self.data.M_cost, u, g))
 
 
@@ -204,7 +203,7 @@ def _h_sweep(session: StudySession, alpha, levels, tag, reference, measure):
         raise InvalidParameterError("an h sweep needs a Robin alpha, got None")
     n_ref = 2 * levels[-1]
     error = measure(n_ref)
-    rows = [(session.grid(n)[0].h, error(n), tag) for n in levels]
+    rows = [(session.grid(n).mesh.h, error(n), tag) for n in levels]
     return _make_table("h", rows, reference.format(n_ref), guard=session.fit_floor)
 
 
@@ -217,10 +216,10 @@ def h_sweep_state(session: StudySession, alpha: float, levels) -> RateTable:
     """
 
     def measure(n_ref):
-        mesh_ref, sys_ref = session.grid(n_ref)
+        sys_ref = session.grid(n_ref)
         u_ref = session.state(n_ref, alpha).values
         return lambda n: norm_V(
-            sys_ref, prolongate(session.state(n, alpha), mesh_ref).values - u_ref)
+            sys_ref, prolongate(session.state(n, alpha), sys_ref.mesh).values - u_ref)
 
     return _h_sweep(session, alpha, levels, "V",
                     "surrogate_reference: robin state on n={} grid (one refinement "
@@ -251,7 +250,7 @@ def alpha_sweep_state(session: StudySession, n: int, alphas) -> dict[str, RateTa
         raise InvalidParameterError("alpha sweep requires alpha > 1")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidParameterError("alpha values must be strictly increasing")
-    sys = session.grid(n)[1]
+    sys = session.grid(n)
     u_lim = session.state(n, None).values
     rows_r, rows_v = [], []
     for a in alphas:
@@ -324,37 +323,37 @@ def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
 
     def opt(n, alpha) -> OptimizeReport:
         if (n, alpha) not in results:
-            mesh, sys, data, family = session.point(n, alpha)
-            results[n, alpha] = optimize(mesh, sys, data, family=family, tol=opt_tol,
+            sys, data, family = session.point(n, alpha)
+            results[n, alpha] = optimize(sys, data, family=family, tol=opt_tol,
                                          max_iter=opt_max_iter, solver=session.solver)
         return results[n, alpha]
 
-    mesh_ref, sys_ref = session.grid(n_ref)
+    sys_ref = session.grid(n_ref)
 
     def dist_on_ref(rep, rep_ref):
-        diff = prolongate(rep.g_opt, mesh_ref).values - rep_ref.g_opt.values
+        diff = prolongate(rep.g_opt, sys_ref.mesh).values - rep_ref.g_opt.values
         return norm_H(sys_ref, diff)
 
     rows = []
     for n in levels:
-        mesh_n, sys_n = session.grid(n)
+        sys_n = session.grid(n)
         rep_dir = opt(n, None)
         for a in alphas:
             rep = opt(n, a)
             d1 = dist_on_ref(rep, opt(n_ref, a))
             d2 = norm_H(sys_n, rep.g_opt.values - rep_dir.g_opt.values)
-            rows.append(DiagramRow(n, mesh_n.h, a, rep.J_opt,
+            rows.append(DiagramRow(n, sys_n.mesh.h, a, rep.J_opt,
                                    norm_H(sys_n, rep.g_opt), d1, d2, math.nan))
 
     corner = opt(n_ref, None)  # joint surrogate corner
     d3_seq = []
     for n in levels:
-        mesh_n, sys_n = session.grid(n)
-        a_diag = 1.0 / mesh_n.h
+        sys_n = session.grid(n)
+        a_diag = 1.0 / sys_n.mesh.h
         rep = opt(n, a_diag)
         d3 = dist_on_ref(rep, corner)
         d3_seq.append(d3)
-        rows.append(DiagramRow(n, mesh_n.h, a_diag, rep.J_opt,
+        rows.append(DiagramRow(n, sys_n.mesh.h, a_diag, rep.J_opt,
                                norm_H(sys_n, rep.g_opt), math.nan, math.nan, d3))
 
     a_max = alphas[-1]
@@ -407,6 +406,8 @@ def interp_rate_study(f, grad_f, levels, gamma1="bottom") -> dict[str, RateTable
     "V" (full H1 error, expected order 1).
     """
     levels = [int(n) for n in levels]
+    if not levels:
+        raise InvalidParameterError("interpolation study needs at least one level")
     rows_h, rows_v = [], []
     for n in levels:
         mesh = build_unit_square(n, gamma1)

@@ -187,15 +187,15 @@ def test_criterion_08_optimizer_bound_and_oracle():
         mesh = build_unit_square(n)
         data = ProblemData(alpha=alpha, b=1.0, q=1.0, M_cost=m_cost, g=0.0)
         sys = assemble(mesh, data)
-        rep = optimize(mesh, sys, data, family, tol=tol)
+        rep = optimize(sys, data, family, tol=tol)
         u0 = solve_state(mesh, sys, data, family).values()
         bound = norm_H(sys, u0) / np.sqrt(m_cost) + 1e-8
         checks.append(norm_H(sys, rep.g_opt) <= bound)
     mesh = build_unit_square(2)
     data = ProblemData(alpha=1.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
     sys = assemble(mesh, data)
-    grad = optimize(mesh, sys, data, ROBIN, tol=1e-9)
-    compass = optimize(mesh, sys, data, ROBIN, method="coord_search",
+    grad = optimize(sys, data, ROBIN, tol=1e-9)
+    compass = optimize(sys, data, ROBIN, method="coord_search",
                        tol=1e-6, max_iter=20000)
     gap = abs(grad.J_opt - compass.J_opt)
     checks.append(gap <= 1e-6)
@@ -224,7 +224,7 @@ def test_criterion_10_convexity_identity_and_conjecture_report(tmp_path):
     mesh = build_unit_square(4)
     data = ProblemData(alpha=1.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
     sys = assemble(mesh, data)
-    rep = check_open_problems(mesh, sys, data, trials=200, seed=42)
+    rep = check_open_problems(sys, data, trials=200, seed=42)
     worst_identity = max(abs(t.identity_residual) for t in rep.trials)
     ok = worst_identity <= 1e-9 and len(rep.trials) == 200
     code = main(["conjecture", "--preset", "contact-v1", "--set", "n=4",

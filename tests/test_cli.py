@@ -180,6 +180,18 @@ def test_interp_check_passes(tmp_path):
     assert summary.count("PASS") == 2
 
 
+@pytest.mark.parametrize("levels, expected", [("", 2), ("4", 4), ("4,8", 4)])
+def test_interp_check_with_too_few_levels(tmp_path, capsys, levels, expected):
+    # an empty list exited 4 with "L2 order: n/a", where an empty alphas,
+    # levels or diagram_levels list exits 2; one or two levels fit no order
+    out = tmp_path / "run"
+    code = main(["interp-check", "--set", f"interp_levels={levels}", "--out", str(out)])
+    assert code == expected
+    assert (out / "summary.txt").exists() == (expected == 4)
+    if expected == 2:
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def test_control_from_file(tmp_path):
     vals = np.linspace(-3.0, 1.0, 9)
     path = tmp_path / "g.txt"

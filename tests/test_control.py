@@ -24,7 +24,7 @@ def test_cost_of_quiet_data_is_half_measure():
     m = build_unit_square(4)
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
     sys = assemble(m, data)
-    rep = cost(m, sys, data, ROBIN)
+    rep = cost(sys, data, ROBIN)
     assert rep.value == pytest.approx(0.5, abs=1e-9)
     assert rep.control_term == 0.0
 
@@ -33,7 +33,7 @@ def test_cost_decomposition_is_exact():
     m = build_unit_square(4)
     data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=3.0, g=-2.0)
     sys = assemble(m, data)
-    rep = cost(m, sys, data, ROBIN)
+    rep = cost(sys, data, ROBIN)
     assert rep.value == rep.state_term + rep.control_term
     assert rep.state_term >= 0.0 and rep.control_term >= 0.0
 
@@ -43,8 +43,8 @@ def test_doubling_cost_weight_doubles_control_term_only():
     d1 = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0, g=-2.0)
     d2 = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=2.0, g=-2.0)
     sys = assemble(m, d1)
-    r1 = cost(m, sys, d1, ROBIN)
-    r2 = cost(m, sys, d2, ROBIN)
+    r1 = cost(sys, d1, ROBIN)
+    r2 = cost(sys, d2, ROBIN)
     assert r2.control_term == pytest.approx(2.0 * r1.control_term, rel=1e-15)
     assert r2.state_term == pytest.approx(r1.state_term, abs=1e-12)
 
@@ -53,7 +53,7 @@ def test_cost_matches_end_to_end_oracle():
     m = build_unit_square(4)
     data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0, g=1.0)
     sys = assemble(m, data)
-    rep = cost(m, sys, data, ROBIN)
+    rep = cost(sys, data, ROBIN)
     j_oracle, _ = cost_oracle(m, np.ones(m.node_count), 1.0, 1.0, 2.0, 1.0)
     assert rep.value == pytest.approx(j_oracle, abs=1e-9)
 
@@ -62,7 +62,7 @@ def test_cost_oracle_dirichlet_family():
     m = build_unit_square(3)
     data = ProblemData(alpha=None, b=1.0, q=1.0, M_cost=1.0, g=-4.0)
     sys = assemble(m, data)
-    rep = cost(m, sys, data, DIRICHLET_LIMIT)
+    rep = cost(sys, data, DIRICHLET_LIMIT)
     j_oracle, _ = cost_oracle(
         m, np.full(m.node_count, -4.0), 1.0, 1.0, None, 1.0, family="dirichlet"
     )
@@ -82,7 +82,7 @@ def test_optimizer_bound_and_monotone_history(ordering, monkeypatch):
     m = build_unit_square(4)
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
     sys = assemble(m, data)
-    rep = optimize(m, sys, data, ROBIN, tol=1e-9)
+    rep = optimize(sys, data, ROBIN, tol=1e-9)
     u0 = solve_state(m, sys, data, ROBIN).values()
     assert norm_H(sys, rep.g_opt) <= norm_H(sys, u0) / np.sqrt(data.M_cost) + 1e-8
     assert rep.J_opt <= 0.5 * norm_H(sys, u0) ** 2 + 1e-12
@@ -94,7 +94,7 @@ def test_the_newton_method_converges_below_the_old_rounding_floor():
     # on a stable contact set one Newton step reaches the tolerance
     m = build_unit_square(4)
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
-    rep = optimize(m, assemble(m, data), data, ROBIN, tol=1e-12)
+    rep = optimize(assemble(m, data), data, ROBIN, tol=1e-12)
     assert rep.gradient_norm_final <= 1e-12
     assert all(b <= a for a, b in zip(rep.history, rep.history[1:]))
 
@@ -115,7 +115,7 @@ def test_a_step_that_rounds_away_ends_the_line_search(monkeypatch):
 
     monkeypatch.setattr(control._Evaluator, "cost", never_lower)
     with pytest.raises(LineSearchError) as err:
-        optimize(m, assemble(m, data), data, ROBIN, tol=0.0)
+        optimize(assemble(m, data), data, ROBIN, tol=0.0)
     assert len(values) < 2 + control.MAX_BACKTRACKS
     assert err.value.best.iterations == 1
     assert err.value.best.J_opt == values[1] < values[0]
@@ -137,7 +137,7 @@ def test_a_trial_that_does_not_lower_j_is_not_taken(monkeypatch):
 
     monkeypatch.setattr(control._Evaluator, "cost", level)
     with pytest.raises(LineSearchError) as err:
-        optimize(m, assemble(m, data), data, ROBIN, tol=0.0, max_iter=5)
+        optimize(assemble(m, data), data, ROBIN, tol=0.0, max_iter=5)
     assert len(values) == 1 + control.MAX_BACKTRACKS
     assert err.value.best.iterations == 0
     assert err.value.best.history == (values[0],)
@@ -148,17 +148,24 @@ def test_huge_cost_weight_collapses_the_control():
     data = ProblemData(alpha=1.0, b=1.0, q=1.0, M_cost=1e6, g=0.0)
     sys = assemble(m, data)
     # stationarity scale grows with M; 1e-5 still pins g to ~1e-11 accuracy
-    rep = optimize(m, sys, data, ROBIN, tol=1e-5)
+    rep = optimize(sys, data, ROBIN, tol=1e-5)
     u0 = solve_state(m, sys, data, ROBIN).values()
     assert norm_H(sys, rep.g_opt) <= 1e-3 * norm_H(sys, u0)
+
+
+def test_the_optimal_control_lives_on_the_system_mesh():
+    m = build_unit_square(3)
+    data = ProblemData(alpha=1.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
+    sys = assemble(m, data)
+    assert optimize(sys, data, ROBIN, tol=1e-9).g_opt.mesh is sys.mesh
 
 
 def test_gradient_method_agrees_with_compass_oracle():
     m = build_unit_square(2)
     data = ProblemData(alpha=1.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
     sys = assemble(m, data)
-    grad = optimize(m, sys, data, ROBIN, method="proj_grad_adjoint", tol=1e-9)
-    compass = optimize(m, sys, data, ROBIN, method="coord_search", tol=1e-6,
+    grad = optimize(sys, data, ROBIN, method="proj_grad_adjoint", tol=1e-9)
+    compass = optimize(sys, data, ROBIN, method="coord_search", tol=1e-6,
                        max_iter=20000)
     assert grad.J_opt == pytest.approx(compass.J_opt, abs=1e-6)
     assert norm_H(sys, grad.g_opt.values - compass.g_opt.values) <= 1e-3
@@ -172,7 +179,7 @@ def test_adjoint_gradient_matches_finite_differences_without_contact():
     sys = assemble(m, data)
     from vicontrol.control import _Evaluator
 
-    ev = _Evaluator(m, sys, data, ROBIN, tol=1e-13)
+    ev = _Evaluator(sys, data, ROBIN, tol=1e-13)
     rep = ev.state(base)
     assert rep.active_set.size == 0
     grad_nodal = sys.M_H @ ev.gradient(base, rep)  # Euclidean partials
@@ -201,7 +208,7 @@ def test_cost_coercivity_lower_bound():
     for size in (1.0, 10.0, 100.0, 1000.0):
         g = ScalarField(m, size * direction)
         d = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0, g=g)
-        j = cost(m, sys, d, ROBIN).value
+        j = cost(sys, d, ROBIN).value
         assert j >= 0.5 * data.M_cost * size**2 - c_hat * size
         if previous is not None:
             assert j > previous
@@ -216,19 +223,28 @@ def test_convex_combination_endpoints_and_degenerate_pair():
     g1 = ScalarField(m, rng.uniform(-5.0, 5.0, m.node_count))
     g2 = ScalarField(m, rng.uniform(-5.0, 5.0, m.node_count))
     for mu in (0.0, 1.0):
-        out = convex_combination_states(m, sys, data, g1, g2, mu)
+        out = convex_combination_states(sys, data, g1, g2, mu)
         np.testing.assert_allclose(out["u3"].values, out["u4"].values, atol=1e-11)
-    out = convex_combination_states(m, sys, data, g1, g1, 0.37)
+    out = convex_combination_states(sys, data, g1, g1, 0.37)
     np.testing.assert_allclose(out["u3"].values, out["u4"].values, atol=1e-11)
     with pytest.raises(InvalidParameterError):
-        convex_combination_states(m, sys, data, g1, g2, 1.2)
+        convex_combination_states(sys, data, g1, g2, 1.2)
+
+
+def test_convex_combination_states_live_on_the_system_mesh():
+    m = build_unit_square(3)
+    data = ProblemData(alpha=1.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
+    sys = assemble(m, data)
+    out = convex_combination_states(sys, data, -5.0, 2.0, 0.5)
+    assert out.keys() == {"u3", "u4"}
+    assert all(u.mesh is sys.mesh for u in out.values())
 
 
 def test_conjecture_report_identity_and_feasibility():
     m = build_unit_square(4)
     data = ProblemData(alpha=1.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
     sys = assemble(m, data)
-    rep = check_open_problems(m, sys, data, trials=50, seed=42)
+    rep = check_open_problems(sys, data, trials=50, seed=42)
     assert len(rep.trials) == 50
     assert max(abs(t.identity_residual) for t in rep.trials) <= 1e-9
     # the guaranteed property u4 >= 0 held (no exception);
@@ -245,8 +261,8 @@ def test_conjecture_determinism():
     m = build_unit_square(3)
     data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
     sys = assemble(m, data)
-    r1 = check_open_problems(m, sys, data, trials=10, seed=7)
-    r2 = check_open_problems(m, sys, data, trials=10, seed=7)
+    r1 = check_open_problems(sys, data, trials=10, seed=7)
+    r2 = check_open_problems(sys, data, trials=10, seed=7)
     for a, b in zip(r1.trials, r2.trials):
         assert a == b
 
@@ -257,7 +273,7 @@ def test_conjecture_rejects_a_bad_control_range(low, high):
     m = build_unit_square(2)
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
     with pytest.raises(InvalidParameterError):
-        check_open_problems(m, assemble(m, data), data, trials=1, g_low=low, g_high=high)
+        check_open_problems(assemble(m, data), data, trials=1, g_low=low, g_high=high)
 
 
 def test_unknown_method_rejected():
@@ -265,4 +281,4 @@ def test_unknown_method_rejected():
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
     sys = assemble(m, data)
     with pytest.raises(InvalidParameterError):
-        optimize(m, sys, data, ROBIN, method="newton")
+        optimize(sys, data, ROBIN, method="newton")

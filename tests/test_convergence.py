@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vicontrol import convergence
-from vicontrol.assembly import ProblemData
+from vicontrol.assembly import AssembledSystem, ProblemData
 from vicontrol.control import optimize
 from vicontrol.convergence import (
     ZERO_NOTE,
@@ -19,7 +19,7 @@ from vicontrol.convergence import (
 from vicontrol.errors import InsufficientDataError, InvalidParameterError
 from vicontrol.mesh import ScalarField
 from vicontrol.presets import box_control
-from vicontrol.vi_solver import DIRICHLET_LIMIT, solve_state
+from vicontrol.vi_solver import DIRICHLET_LIMIT, ROBIN, solve_state
 
 
 def contact_data(alpha=2.0):
@@ -119,7 +119,7 @@ def test_a_session_state_is_a_field_on_the_session_mesh():
     session = StudySession(contact_data())
     for alpha in (2.0, None):
         u = session.state(8, alpha)
-        assert isinstance(u, ScalarField) and u.mesh is session.grid(8)[0]
+        assert isinstance(u, ScalarField) and u.mesh is session.grid(8).mesh
         assert session.state(8, alpha) is u
 
 
@@ -175,9 +175,26 @@ def test_the_dirichlet_limit_point_is_alpha_none():
     session = StudySession(data)
     u = session.state(8, None)
     assert session.state(8, None) is u
-    mesh, sys = session.grid(8)
-    direct = solve_state(mesh, sys, data, family=DIRICHLET_LIMIT, tol=session.tol)
+    sys = session.grid(8)
+    direct = solve_state(sys.mesh, sys, data, family=DIRICHLET_LIMIT, tol=session.tol)
     assert u.values.tobytes() == direct.solution.tobytes()
+
+
+def test_a_session_grid_is_its_cached_assembled_system():
+    session = StudySession(contact_data())
+    sys = session.grid(8)
+    assert isinstance(sys, AssembledSystem) and sys.mesh.division_count == 8
+    assert session.grid(8) is sys
+
+
+def test_a_lattice_point_is_the_grid_data_and_family():
+    data = contact_data()
+    session = StudySession(data)
+    point = session.point(8, None)
+    assert point == (session.grid(8), data, DIRICHLET_LIMIT)
+    assert point[0] is session.grid(8) and point[1] is data
+    sys, robin_data, family = session.point(8, 16.0)
+    assert sys is session.grid(8) and robin_data.alpha == 16.0 and family == ROBIN
 
 
 @pytest.mark.parametrize("sweep", [h_sweep_state, h_sweep_cost])
@@ -193,13 +210,12 @@ def test_a_diagram_after_a_sweep_reuses_the_session_grids(monkeypatch):
     grids = dict(session._grid)
     seen = []
 
-    def recording_optimize(mesh, sys, data, **kw):
-        seen.append((mesh, sys))
-        return optimize(mesh, sys, data, **kw)
+    def recording_optimize(sys, data, **kw):
+        seen.append(sys)
+        return optimize(sys, data, **kw)
 
     monkeypatch.setattr(convergence, "optimize", recording_optimize)
     monkeypatch.setattr(convergence, "build_unit_square", None)  # no new grid may be built
     diagram(session, [2, 8], [2.0, 4.0], opt_tol=1e-3)
     assert session._grid.keys() == grids.keys()
-    pairs = {(id(mesh), id(sys)) for mesh, sys in seen}
-    assert pairs == {(id(grids[n][0]), id(grids[n][1])) for n in (2, 8, 32)}
+    assert {id(sys) for sys in seen} == {id(grids[n]) for n in (2, 8, 32)}
