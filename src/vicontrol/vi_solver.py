@@ -21,10 +21,11 @@ Each problem reduces itself to its free nodes once, on first use, and
 another load.  The reduction keeps only the last LU factor made by the
 active-set and adjoint solves: the solves that share a reduction (line
 searches, adjoint lifts) start from the contact set where the previous
-one ended, so that is the factor they reuse.  Each LU orders its block by
-symmetric minimum degree on A + A^T in SuperLU's symmetric mode (an SPD
-block keeps its diagonal pivots, a non-symmetric one is still pivoted) and
-factors it in panels of one column.
+one ended, so that is the factor they reuse.  A block of at most DENSE_MAX
+unknowns is factored dense by LAPACK's getrf, below SuperLU's fixed cost.
+SuperLU orders a larger block by symmetric minimum degree on A + A^T in its
+symmetric mode (an SPD block keeps its diagonal pivots, a non-symmetric one
+is still pivoted) and factors it in panels of one column.
 
 Active-set solves of a problem with an even division count n start from
 the Galerkin coarse VI (P^T A P, P^T F) on the n/2 grid: its solution is
@@ -45,6 +46,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .assembly import (
@@ -79,6 +81,7 @@ TWO_LEVEL_MIN = 128
 TWO_LEVEL_TOL = 1e-6
 TWO_LEVEL_MAX_ITER = 30
 FEASIBILITY_TOL = 1e-12
+DENSE_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,8 @@ class _Operator:
     ``shift`` is the load of the eliminated trace, A[free][:, pinned] @
     dirichlet_values; ``template`` is a full vector holding the pinned
     values; ``lu`` is the LU factor of a_ff on the nodes outside the last
-    active mask factored, whose bytes are ``key``.  ``csc``, a CSC copy of
-    a_ff made on the first :meth:`block`, is what each block is cut from.
+    active mask factored, whose bytes are ``key``.  Blocks are cut from ``csc``
+    or gathered dense from ``ell``, copies of a_ff made on first use.
     """
 
     def __init__(self, p: VIProblem):
@@ -192,19 +195,56 @@ class _Operator:
         """a_ff on the nodes outside ``active``, cut from ``csc``."""
         return _cut(self.csc, ~active)
 
+    @cached_property
+    def ell(self) -> tuple:
+        """a_ff, duplicates summed, in padded rows: N x w column indices and
+        values, w its longest row, padded by zeros at the dummy column N."""
+        a = self.a_ff.tocoo().tocsr()
+        real = np.arange(np.diff(a.indptr).max(initial=0)) < np.diff(a.indptr)[:, None]
+        cols, vals = np.full(real.shape, a.shape[0]), np.zeros(real.shape)
+        cols[real], vals[real] = a.indices, a.data
+        return cols, vals
+
+    def dense_block(self, active: np.ndarray) -> np.ndarray:
+        """:meth:`block` of ``active`` as a Fortran-ordered array, from ``ell``."""
+        idx, (cols, vals) = np.flatnonzero(~active), self.ell
+        pos = np.full(active.size + 1, idx.size)  # place in the block, else the dummy m
+        pos[idx] = np.arange(idx.size)
+        out = np.zeros((idx.size + 1, idx.size))  # row j holds column j; row m the dummy
+        out[pos.take(cols[idx]), np.arange(idx.size)[:, None]] = vals[idx]
+        return out[:-1].T
+
     def factor(self, active: np.ndarray):
-        """LU of :meth:`block` of ``active``, ordered by minimum degree on
-        A + A^T; only the last is kept.  The old factor is dropped before the
-        next one is made, so one operator never holds two.  Panels of one
-        column suit the small supernodes of 2-D P1 blocks: same pivots and
-        fill as SuperLU's default of 10, about 30 % less factor time."""
+        """LU of the block of ``active``; only the last is kept.  The old factor
+        is dropped before the next one is made, so one operator never holds
+        two.  Up to DENSE_MAX unknowns it is a :class:`_DenseLU` of
+        :meth:`dense_block`, else SuperLU's of :meth:`block`, ordered by
+        minimum degree on A + A^T in panels of one column, which suit the
+        small supernodes of 2-D P1 blocks: same pivots and fill as
+        SuperLU's default of 10, about 30 % less factor time."""
         key = active.tobytes()
         if key != self.key:
             self.key = self.lu = None
-            self.lu = spla.splu(self.block(active), permc_spec="MMD_AT_PLUS_A",
-                                panel_size=1, options=dict(SymmetricMode=True))
+            if active.size - np.count_nonzero(active) <= DENSE_MAX:
+                self.lu = _DenseLU(self.dense_block(active))
+            else:
+                self.lu = spla.splu(self.block(active), permc_spec="MMD_AT_PLUS_A",
+                                    panel_size=1, options=dict(SymmetricMode=True))
             self.key = key
         return self.lu
+
+
+class _DenseLU:
+    """LAPACK's LU with partial pivoting (getrf) of a square array, which it
+    overwrites, solved by getrs; an exactly singular one raises as splu does."""
+
+    def __init__(self, a: np.ndarray):
+        self.lu, self.piv, info = dgetrf(a, overwrite_a=True)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dgetrs(self.lu, self.piv, rhs)[0]
 
 
 def _cut(a, keep: np.ndarray):
@@ -253,12 +293,7 @@ def _report(p: VIProblem, u_f, iterations, residual):
     full = op.template.copy()
     full[op.free] = u_f
     active = op.free[u_f <= op.lb_f]  # solvers pin bound nodes exactly; free is sorted
-    return VIReport(
-        solution=full,
-        iterations=iterations,
-        residual=residual,
-        active_set=active,
-    )
+    return VIReport(full, iterations, residual, active)
 
 
 def _colour_classes(a: sp.csr_matrix) -> list[np.ndarray]:
@@ -307,10 +342,7 @@ def solve_psor(
     n = p.division_count
     omega = PSOR_OMEGA if n is None else 2.0 / (1.0 + np.sin(np.pi / max(n, 2)))
     free, a_ff, f_f, lb_f = _free_split(p)
-    if u0 is None:
-        u_f = np.maximum(lb_f, 0.0)
-    else:
-        u_f = np.maximum(np.asarray(u0, dtype=float)[free], lb_f)
+    u_f = np.maximum(lb_f, 0.0 if u0 is None else np.asarray(u0, dtype=float)[free])
     blocks = [(c, a_c, f_f[c], op.diag[c], lb_f[c]) for c, a_c in op.colour_rows]
     iters, res, est, step = 0, np.inf, np.inf, np.nan
     while iters < max_iter and not (res <= tol and est <= tol):
@@ -323,10 +355,8 @@ def solve_psor(
         est = step * rho / (1.0 - rho) if rho < 1.0 else np.inf
         res = _complementarity(u_f - lb_f, a_ff @ u_f - f_f)
     if not res <= tol:
-        raise NonConvergenceError(
-            f"projected SOR: residual {res:.3e} > tol {tol:.1e} after {iters} sweeps",
-            residual=res,
-        )
+        raise NonConvergenceError(f"projected SOR: residual {res:.3e} > tol {tol:.1e} after "
+                                  f"{iters} sweeps", residual=res)
     return _report(p, u_f, iters, res)
 
 
@@ -349,14 +379,12 @@ def solve_active_set(
     op = _checked_operator(p, tol)
     _, a_ff, f_f, lb_f = _free_split(p)
     active = op.free_mask([] if initial_active is None else initial_active)
-    seen = set()
-    res = np.inf
+    seen, res = set(), np.inf
     for it in range(1, max_iter + 1):
         key = active.tobytes()
         if key in seen:
-            raise NonConvergenceError(
-                f"active-set method is cycling (residual {res:.3e})", residual=res
-            )
+            raise NonConvergenceError(f"active-set method is cycling (residual {res:.3e})",
+                                      residual=res)
         seen.add(key)
         inactive = ~active
         u_f = lb_f.copy()
@@ -374,10 +402,8 @@ def solve_active_set(
             # stable set: as converged as the linear algebra allows
             return _report(p, u_f, it, res)
         active = nxt
-    raise NonConvergenceError(
-        f"active-set method: residual {res:.3e} > tol {tol:.1e} after {max_iter} iterations",
-        residual=res,
-    )
+    raise NonConvergenceError(f"active-set method: residual {res:.3e} > tol {tol:.1e} after "
+                              f"{max_iter} iterations", residual=res)
 
 
 def solve_enumerate(p: VIProblem) -> VIReport:
@@ -391,12 +417,10 @@ def solve_enumerate(p: VIProblem) -> VIReport:
     free, a_ff, f_f, lb_f = _free_split(p)
     k = free.size
     if k > ENUMERATE_MAX_FREE:
-        raise InvalidParameterError(
-            f"{k} free nodes exceeds enumeration limit {ENUMERATE_MAX_FREE}"
-        )
+        raise InvalidParameterError(f"{k} free nodes exceeds enumeration limit "
+                                    f"{ENUMERATE_MAX_FREE}")
     a = a_ff.toarray()
-    best_margin = -np.inf
-    best_u = None
+    best_margin, best_u = -np.inf, None
     bits = np.arange(k)
     for mask in range(1 << k):
         act = ((mask >> bits) & 1).astype(bool)
@@ -413,8 +437,7 @@ def solve_enumerate(p: VIProblem) -> VIReport:
         if act.any():
             margin = min(margin, float(np.min(lam[act])))
         if margin > best_margin:
-            best_margin = margin
-            best_u = u.copy()
+            best_margin, best_u = margin, u.copy()
     res = _complementarity(best_u - lb_f, a_ff @ best_u - f_f)
     return _report(p, best_u, 1 << k, res)
 

@@ -4,16 +4,13 @@ contact set and residual, or the same error, from the same LU factors; and
 the free-node reduction gives the bytes of scipy's fancy indexing."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from oracles import free_reduction, reference_active_set
-from test_vi_solver import _block_test_problems
-from vicontrol import vi_solver
+from test_vi_solver import _block_test_problems, _record_factors
 from vicontrol.assembly import ProblemData, assemble
 from vicontrol.errors import NonConvergenceError
 from vicontrol.mesh import build_unit_square
@@ -58,13 +55,8 @@ def _outcome(solve, p):
     """What one solve on a fresh reduction of p returns, with the sizes of
     the blocks it factored."""
     sizes = []
-
-    def splu(a, **kw):
-        sizes.append(a.shape[0])
-        return spla.splu(a, **kw)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vi_solver, "spla", SimpleNamespace(splu=splu))
+        _record_factors(mp, lambda factor: sizes.append(factor.size))
         try:
             result = solve(replace(p))
         except NonConvergenceError as exc:

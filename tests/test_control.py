@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,6 +79,7 @@ def test_optimizer_bound_and_monotone_history(ordering, monkeypatch):
     # the optimizer's stop must not hang on the rounding of one LU ordering
     if ordering == "colamd":
         monkeypatch.setattr(vi_solver, "spla", SimpleNamespace(splu=_colamd_splu))
+        monkeypatch.setattr(vi_solver, "DENSE_MAX", 0)  # n = 4 blocks go dense otherwise
     m = build_unit_square(4)
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
     sys = assemble(m, data)
@@ -265,6 +266,35 @@ def test_conjecture_determinism():
     r2 = check_open_problems(sys, data, trials=10, seed=7)
     for a, b in zip(r1.trials, r2.trials):
         assert a == b
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_dense_factors_give_the_superlu_conjecture_trials(family, monkeypatch):
+    # at n = 16 nearly every block goes dense; DENSE_MAX = 0 sends each one
+    # to SuperLU instead
+    m = build_unit_square(16)
+    data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
+    sys = assemble(m, data)
+    solve = vi_solver.solve_active_set
+
+    def run(dense_max):
+        contact = []
+
+        def recorded(p, *args, **kwargs):
+            rep = solve(p, *args, **kwargs)
+            contact.append(rep.active_set.tobytes())
+            return rep
+
+        with monkeypatch.context() as mp:
+            mp.setattr(vi_solver, "DENSE_MAX", dense_max)
+            mp.setattr(vi_solver, "solve_active_set", recorded)
+            rep = check_open_problems(sys, data, trials=20, seed=7, family=family)
+        return np.array([astuple(t)[1:] for t in rep.trials]), contact
+
+    dense, dense_sets = run(vi_solver.DENSE_MAX)
+    sparse, sparse_sets = run(0)
+    assert len(dense_sets) > 60 and dense_sets == sparse_sets
+    np.testing.assert_allclose(dense, sparse, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("low, high", [(np.nan, 10.0), (-np.inf, 10.0), (-30.0, np.inf),

@@ -434,29 +434,38 @@ def test_psor_repeat_is_bit_identical():
 
 
 class _Factor:
-    """An LU factor that a weakref can follow."""
+    """An LU factor that a weakref can follow, with the size of its block."""
 
-    def __init__(self, lu):
-        self.lu = lu
+    def __init__(self, lu, size):
+        self.lu, self.size = lu, size
 
     def solve(self, rhs):
         return self.lu.solve(rhs)
 
 
-def _proxy_splu(monkeypatch, record):
-    """Route vi_solver's splu through a proxy that passes each factor to record."""
+def _record_factors(monkeypatch, record):
+    """Route both kinds of vi_solver factor, SuperLU's splu and the dense
+    _DenseLU, through a proxy that passes each factor to record."""
+    dense_lu = vi_solver._DenseLU
+
     def splu(a, **kw):
-        factor = _Factor(spla.splu(a, **kw))
+        factor = _Factor(spla.splu(a, **kw), a.shape[0])
+        record(factor)
+        return factor
+
+    def dense(a):
+        factor = _Factor(dense_lu(a), a.shape[0])
         record(factor)
         return factor
 
     monkeypatch.setattr(vi_solver, "spla", SimpleNamespace(splu=splu))
+    monkeypatch.setattr(vi_solver, "_DenseLU", dense)
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
 def test_with_load_reuses_the_last_lu_factor(family, monkeypatch):
     made = []
-    _proxy_splu(monkeypatch, made.append)
+    _record_factors(monkeypatch, made.append)
     m, sys, data = contact_problem(n=8)
     p = build_vi_problem(m, sys, data, family)
     rep = solve_active_set(p)
@@ -482,7 +491,7 @@ def test_an_operator_keeps_at_most_one_lu_factor(monkeypatch):
         alive_at_make.append(len(live))
         live.add(factor)
 
-    _proxy_splu(monkeypatch, record)
+    _record_factors(monkeypatch, record)
     m, sys, data = contact_problem(n=16, g=-20.0, q=1.0)
     p = build_vi_problem(m, sys, data, DIRICHLET_LIMIT)
     rep = solve_active_set(p)
@@ -524,6 +533,7 @@ def test_factor_hands_splu_the_fancy_indexed_inactive_block(monkeypatch):
         return spla.splu(a, **kw)
 
     monkeypatch.setattr(vi_solver, "spla", SimpleNamespace(splu=splu))
+    monkeypatch.setattr(vi_solver, "DENSE_MAX", 0)  # every block to SuperLU
     rng = np.random.default_rng(8)
     for op in _block_test_operators():
         k = op.free.size
@@ -539,9 +549,10 @@ def test_factor_hands_splu_the_fancy_indexed_inactive_block(monkeypatch):
             assert got.data.tobytes() == want.data.tobytes()
 
 
-def test_factor_pivots_spd_blocks_on_the_diagonal_and_solves_as_colamd():
+def test_factor_pivots_spd_blocks_on_the_diagonal_and_solves_as_colamd(monkeypatch):
     # the symmetric ordering keeps the diagonal pivots of an SPD block, and
     # partial pivoting still serves a non-symmetric one
+    monkeypatch.setattr(vi_solver, "DENSE_MAX", 0)  # every block to SuperLU
     rng = np.random.default_rng(3)
     *spd, skew = _block_test_operators()
     for op in spd + [skew]:
@@ -554,6 +565,98 @@ def test_factor_pivots_spd_blocks_on_the_diagonal_and_solves_as_colamd():
             want = spla.splu(op.block(active), permc_spec="COLAMD").solve(rhs)
             err = np.abs(lu.solve(rhs) - want).max()
             assert err <= 1e-12 * np.abs(want).max()
+
+
+def _inactive_masks(rng, k, sizes):
+    """A mask of k nodes for each inactive count in sizes, the inactive
+    nodes drawn at random."""
+    masks = []
+    for m in sizes:
+        active = np.ones(k, dtype=bool)
+        active[rng.choice(k, size=min(m, k), replace=False)] = False
+        masks.append(active)
+    return masks
+
+
+def _almost_all_in_contact_128():
+    """The n = 128 Robin operator and a mask leaving DENSE_MAX nodes of one
+    patch out of contact."""
+    op = build_vi_problem(*contact_problem(n=128), ROBIN)._operator
+    patch = (129 * np.arange(56, 72)[:, None] + np.arange(56, 72)).ravel()
+    active = np.ones(op.free.size, dtype=bool)
+    active[patch[:vi_solver.DENSE_MAX]] = False
+    return op, active
+
+
+def test_factor_hands_the_dense_lu_the_fancy_indexed_inactive_block(monkeypatch):
+    blocks, dense_lu = [], vi_solver._DenseLU
+
+    def dense(a):
+        blocks.append(a.copy(order="A"))  # as handed over: getrf overwrites it
+        return dense_lu(a)
+
+    monkeypatch.setattr(vi_solver, "_DenseLU", dense)
+    *_, skew = _block_test_problems()
+    a = skew.A  # and a copy storing each entry twice, halved: splu sums duplicates
+    twice = np.concatenate([np.tile(r, 2) for r in np.split(np.arange(a.nnz), a.indptr[1:-1])])
+    split = sp.csr_matrix((0.5 * a.data[twice], a.indices[twice], 2 * a.indptr), shape=a.shape)
+    assert not split.has_canonical_format
+    ops = _block_test_operators() + [replace(skew, A=split)._operator]
+    rng = np.random.default_rng(8)
+    cases = [(op, mask) for op in ops
+             for mask in _inactive_masks(rng, op.free.size, (1, 17, vi_solver.DENSE_MAX))]
+    for op, active in cases + [_almost_all_in_contact_128()]:
+        op.factor(active)
+        got, want = blocks.pop(), inactive_block(op.a_ff, active).toarray()
+        assert got.flags.f_contiguous and got.shape == want.shape
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+
+
+def test_dense_max_unknowns_go_dense_and_one_more_to_superlu():
+    op, active = _almost_all_in_contact_128()
+    assert isinstance(op.factor(active), vi_solver._DenseLU)
+    active[np.flatnonzero(active)[0]] = False
+    assert isinstance(op.factor(active), spla.SuperLU)
+
+
+def test_the_dense_factor_solves_as_colamd():
+    rng = np.random.default_rng(4)
+    for op in _block_test_operators():
+        for active in _inactive_masks(rng, op.free.size, (1, 40, vi_solver.DENSE_MAX)):
+            lu = op.factor(active)
+            assert isinstance(lu, vi_solver._DenseLU)
+            rhs = rng.standard_normal(np.count_nonzero(~active))
+            want = spla.splu(op.block(active), permc_spec="COLAMD").solve(rhs)
+            assert np.abs(lu.solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dense_max", [0, 3])
+def test_an_exactly_singular_block_raises_as_splu_does(dense_max, monkeypatch):
+    monkeypatch.setattr(vi_solver, "DENSE_MAX", dense_max)
+    a = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))
+    op = VIProblem(A=a, F=np.ones(3), lower_bound=np.zeros(3))._operator
+    with pytest.raises(RuntimeError, match="Factor is exactly singular"):
+        op.factor(np.zeros(3, dtype=bool))
+    assert op.lu is None and op.key is None
+
+
+def test_switching_factor_kinds_never_holds_two_factors(monkeypatch):
+    live, alive_at_make, sizes = weakref.WeakSet(), [], []
+
+    def record(factor):
+        alive_at_make.append(len(live))
+        sizes.append(factor.size)
+        live.add(factor)
+
+    _record_factors(monkeypatch, record)
+    op = _block_test_operators()[0]
+    for active in _inactive_masks(np.random.default_rng(5), op.free.size,
+                                  (20, 200, 60, 250, vi_solver.DENSE_MAX)):
+        op.factor(active)
+    assert sizes == [20, 200, 60, 250, vi_solver.DENSE_MAX]  # dense, sparse, ...
+    assert alive_at_make == [0] * 5
+    gc.collect()
+    assert len(live) == 1
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
@@ -654,10 +757,10 @@ def test_nested_start_frees_each_coarse_factor_before_the_next(monkeypatch):
 
     def record(factor):
         alive_at_make.append(len(live))
-        sizes.append(factor.lu.shape[0])
+        sizes.append(factor.size)
         live.add(factor)
 
-    _proxy_splu(monkeypatch, record)
+    _record_factors(monkeypatch, record)
     m, sys, data = contact_problem(n=32)
     solve_state(m, sys, data, DIRICHLET_LIMIT)
     assert min(sizes) < 17 ** 2 < max(sizes)  # both levels factored
@@ -704,7 +807,7 @@ def test_two_level_step_leaves_one_fine_lu_per_state_solve(family, monkeypatch):
 
     def record(factor):
         alive_at_make.append(len(live))
-        sizes.append(factor.lu.shape[0])
+        sizes.append(factor.size)
         live.add(factor)
 
     step, made_in_step = vi_solver._two_level_step, []
@@ -715,7 +818,7 @@ def test_two_level_step_leaves_one_fine_lu_per_state_solve(family, monkeypatch):
         made_in_step.append(len(sizes) - before)
         return active
 
-    _proxy_splu(monkeypatch, record)
+    _record_factors(monkeypatch, record)
     monkeypatch.setattr(vi_solver, "_two_level_step", counted_step)
     rep = solve_state(m, sys, data, family)
     assert rep.iterations == 1
