@@ -17,8 +17,9 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import AssemblyError, InvalidParameterError
-from .mesh import (_AREA_TOL, Mesh, ScalarField, _element_geometry, _same_mesh, constant_field,
-                   interpolate)
+from .mesh import (_AREA_TOL, Mesh, ScalarField, _element_geometry, _nodal_field, _same_mesh,
+                   constant_field, interpolate)
+from .presets import Box
 
 # control/flux specifications accepted by problem data
 ControlSpec = Union[float, Callable[[float, float], float], ScalarField, None]
@@ -89,21 +90,28 @@ def as_control_field(mesh: Mesh, g: ControlSpec) -> ScalarField:
         if not _same_mesh(g.mesh, mesh):
             raise InvalidParameterError("control field lives on a different mesh")
         return g
+    if isinstance(g, Box):
+        return _nodal_field(mesh, g.at(*mesh.nodes.T))
     if callable(g):
         return interpolate(mesh, g)
     return constant_field(mesh, float(g))
 
 
-def _scatter(mesh: Mesh, cells: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
-    """Sum the local matrices of the cells (triangles or edges) into a global
-    one, exactly symmetric as they are; sums of exactly 0.0 are not stored.
-    The pruned arrays are views of the unpruned sum; the copy frees it."""
-    rows = np.broadcast_to(cells[:, :, None], local.shape).ravel()
-    cols = np.broadcast_to(cells[:, None, :], local.shape).ravel()
-    n = mesh.node_count
-    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    a.eliminate_zeros()
-    return a.copy()
+def _scatter(mesh: Mesh, cells: np.ndarray, *local: np.ndarray) -> list[sp.csr_matrix]:
+    """Sum each array of local matrices of the cells (triangles or edges) into
+    a global one, exactly symmetric as they are; sums of exactly 0.0 are not
+    stored.  The (row, col) arrays are built once, in the index dtype scipy
+    keeps, so no sum recasts them.  The pruned arrays are views of the
+    unpruned sum; the copy frees it."""
+    n, k = mesh.node_count, cells.shape[1]
+    c = cells.astype(sp.get_index_dtype(maxval=max(cells.size * k, n)))
+    pairs = np.repeat(c, k, axis=1).ravel(), np.tile(c, k).ravel()
+    out = []
+    for vals in local:
+        a = sp.coo_matrix((vals.ravel(), pairs), shape=(n, n)).tocsr()
+        a.eliminate_zeros()
+        out.append(a.copy())
+    return out
 
 
 def _edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
@@ -113,7 +121,7 @@ def _edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
 
 def _gamma1_mass(mesh: Mesh) -> sp.csr_matrix:
     ell = _edge_lengths(mesh, mesh.gamma1_edges)
-    return _scatter(mesh, mesh.gamma1_edges, ell[:, None, None] * _EDGE_TEMPLATE)
+    return _scatter(mesh, mesh.gamma1_edges, ell[:, None, None] * _EDGE_TEMPLATE)[0]
 
 
 def _flux_value(q: FluxSpec, mid: np.ndarray) -> float:
@@ -189,10 +197,10 @@ def assemble(mesh: Mesh, data: ProblemData | None = None) -> AssembledSystem:
     m_local = area[:, None, None] * _MASS_TEMPLATE
 
     b = 1.0 if data is None else data.b
+    K, M_H = _scatter(mesh, mesh.triangles, k_local, m_local)
     return AssembledSystem(
         mesh=mesh,
-        K=_scatter(mesh, mesh.triangles, k_local),
-        M_H=_scatter(mesh, mesh.triangles, m_local),
+        K=K, M_H=M_H,
         M_R=_gamma1_mass(mesh),
         b_load=b * _gamma1_unit_load(mesh),
     )

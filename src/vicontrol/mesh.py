@@ -11,6 +11,7 @@ Meshes are immutable after construction and safe to share between solves.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -239,11 +240,16 @@ def interpolate(mesh: Mesh, f: Callable[[float, float], float]) -> ScalarField:
     Reproduces affine functions (and any member of the P1 space) exactly.
     """
     xs, ys = mesh.nodes.T.tolist()  # two flat lists: no list per node for the gc to track
-    values = np.array([f(x, y) for x, y in zip(xs, ys)], dtype=float)
+    return _nodal_field(mesh, np.array([f(x, y) for x, y in zip(xs, ys)], dtype=float))
+
+
+def _nodal_field(mesh: Mesh, values: np.ndarray) -> ScalarField:
+    """The field of some f's values at the nodes; the EvaluationError for a
+    non-finite value names the first node that has one."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
-        x, y = xs[i], ys[i]
+        x, y = mesh.nodes[i].tolist()
         raise EvaluationError(f"f({x}, {y}) = {float(values[i])!r} at node {i} is not finite")
     return ScalarField(mesh, values)
 
@@ -355,6 +361,17 @@ def write_mesh(mesh: Mesh, path) -> None:
 def format_rows(fmt: str, *columns: np.ndarray) -> str:
     """``fmt % row`` for each row of the columns side by side, one line per
     row joined by newlines ("" for no rows).  One ``%`` formats the whole
-    block from one flat ``tolist``, so ``%.17g`` prints a float round-trip."""
+    block from one flat ``tolist``, so ``%.17g`` prints a float round-trip.
+    In a float table, each column's piece of ``fmt`` (its conversion and the
+    text up to the next) formats each distinct value once, told apart by bit
+    pattern (0.0 and -0.0 print apart), and the pieces are joined: same bytes."""
     table = np.column_stack(columns)
+    if table.dtype == np.float64:
+        cuts = [m.start() for m in re.finditer("%%?", fmt) if m[0] == "%"][1:]
+        pieces = np.empty(table.shape, dtype=object)
+        for j, a, b in zip(range(table.shape[1]), [0] + cuts, cuts + [None], strict=True):
+            bits, inv = np.unique(table[:, j].view(np.uint64), return_inverse=True)
+            pieces[:, j] = np.array([fmt[a:b] % v for v in bits.view(np.float64).tolist()],
+                                    dtype=object)[inv]
+        fmt, table = "%s" * table.shape[1], pieces
     return "\n".join([fmt] * table.shape[0]) % tuple(table.ravel().tolist())

@@ -10,14 +10,34 @@ the unit square with gamma1 on the bottom side.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 
-def box_control(value: float, x0: float, x1: float, y0: float, y1: float):
-    """Indicator control: ``value`` on the closed box, else 0."""
+import numpy as np
 
-    def g(x, y):
-        return value if (x0 <= x <= x1 and y0 <= y <= y1) else 0.0
 
-    return g
+@dataclass(frozen=True)
+class Box:
+    """Indicator control: ``value`` on the closed box [x0, x1] x [y0, y1], else 0,
+    built as ``box_control(value, x0, x1, y0, y1)``.  A call on a point and
+    :meth:`at` on coordinate arrays read one predicate, :meth:`holds`."""
+
+    value: float
+    x0: float
+    x1: float
+    y0: float
+    y1: float
+
+    def holds(self, x, y):
+        return (self.x0 <= x) & (x <= self.x1) & (self.y0 <= y) & (y <= self.y1)
+
+    def __call__(self, x: float, y: float) -> float:
+        return self.value if self.holds(x, y) else 0.0
+
+    def at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.where(self.holds(x, y), float(self.value), 0.0)
+
+
+box_control = Box
 
 
 PRESETS: dict[str, dict[str, str]] = {

@@ -3,9 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from vicontrol.assembly import (
+    _EDGE_TEMPLATE,
+    _MASS_TEMPLATE,
     ProblemData,
+    _edge_lengths,
+    as_control_field,
     assemble,
     coercivity_constant,
     dump_matrix,
@@ -15,8 +20,9 @@ from vicontrol.assembly import (
     robin_matrix,
 )
 from vicontrol.errors import AssemblyError, InvalidParameterError
-from vicontrol.mesh import (Mesh, _longest_edge, build_unit_square, constant_field, interpolate,
-                            refine_uniform)
+from vicontrol.mesh import (Mesh, _element_geometry, _longest_edge, build_unit_square,
+                            constant_field, interpolate, refine_uniform)
+from vicontrol.presets import box_control
 
 from oracles import quad_assemble, quad_load
 
@@ -303,3 +309,51 @@ def test_matrix_dump_triplets(tmp_path):
     for i, j, v in rows:
         rebuilt[int(i), int(j)] = float(v)
     np.testing.assert_array_equal(rebuilt, sys.K.toarray())
+
+
+def reference_scatter(mesh, cells, local):
+    """The scatter that built each matrix from its own (row, col) broadcast,
+    recast by scipy; the shared index arrays must give the same bytes."""
+    rows = np.broadcast_to(cells[:, :, None], local.shape).ravel()
+    cols = np.broadcast_to(cells[:, None, :], local.shape).ravel()
+    n = mesh.node_count
+    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    a.eliminate_zeros()
+    return a.copy()
+
+
+@pytest.mark.parametrize("mesh", [build_unit_square(n, g) for n in (1, 2, 7, 16, 33)
+                                  for g in ("bottom", "bottom,left", "bottom,right,top,left")]
+                         + [refine_uniform(build_unit_square(3, "bottom,left"))])
+def test_matrices_have_the_bytes_of_the_reference_scatter(mesh):
+    bvec, cvec, area = _element_geometry(mesh)
+    k_local = (np.einsum("ti,tj->tij", bvec, bvec)
+               + np.einsum("ti,tj->tij", cvec, cvec)) / (4.0 * area)[:, None, None]
+    ell = _edge_lengths(mesh, mesh.gamma1_edges)
+    sys = assemble(mesh)
+    for got, (cells, local) in [
+        (sys.K, (mesh.triangles, k_local)),
+        (sys.M_H, (mesh.triangles, area[:, None, None] * _MASS_TEMPLATE)),
+        (sys.M_R, (mesh.gamma1_edges, ell[:, None, None] * _EDGE_TEMPLATE)),
+    ]:
+        ref = reference_scatter(mesh, cells, local)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_a_box_control_on_all_nodes_is_its_value_at_each_node():
+    for n in range(1, 34):
+        m = build_unit_square(n)
+        t = np.arange(n + 1) / n  # the grid lines, as the node coordinates hold them
+        lo, hi = t[n // 4], t[(3 * n) // 4]
+        for value in (-0.0, -20.0, 3.5):
+            for box in (box_control(value, lo, hi, lo, hi),  # edges on grid lines
+                        box_control(value, 0.25 + 1e-9, 0.75 - 1e-9, 0.3, 0.7),
+                        box_control(value, -0.5, 0.5, 0.5, 1.5)):  # partly outside
+                at_once = as_control_field(m, box).values
+                per_node = interpolate(m, box).values
+                assert at_once.tobytes() == per_node.tobytes()  # bit for bit: -0.0 is not 0.0
+            corner = np.flatnonzero((m.nodes[:, 0] == lo) & (m.nodes[:, 1] == lo))
+            on_edge = as_control_field(m, box_control(value, lo, hi, lo, hi)).values[corner]
+            assert on_edge.tobytes() == np.float64(value).tobytes()  # the closed box holds it

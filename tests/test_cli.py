@@ -246,6 +246,19 @@ def test_a_non_finite_flux_exits_2(tmp_path, capsys, q):
     assert not (out / "state.csv").exists()
 
 
+@pytest.mark.parametrize("box, message", [
+    ("box:inf:0.25:0.75:0.25:0.75", "f(0.25, 0.25) = inf at node 6 is not finite"),
+    ("box:nan:0:1:0:1", "f(0.0, 0.0) = nan at node 0 is not finite"),
+])
+def test_a_non_finite_box_control_exits_2_naming_its_first_node(tmp_path, capsys, box, message):
+    out = tmp_path / "run"
+    code = main(["state", "--preset", "contact-v1", "--set", "n=4", "--set", f"g={box}",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "state.csv").exists()
+
+
 @pytest.mark.parametrize("setting", [["g_low=nan"], ["g_high=inf"], ["g_low=5", "g_high=1"],
                                      ["g_low=-1e308", "g_high=1e308"]])
 def test_a_bad_conjecture_control_range_exits_2(tmp_path, capsys, setting):

@@ -271,7 +271,10 @@ def test_format_rows_prints_what_the_row_lists_printed():
     u = np.linspace(-1.0, 1.0, m.node_count)
     u[[0, 5, 7]] = [-0.0, 1e-300, -5e-324]
     for fmt, columns in [("%.17g,%.17g,%.17g", (m.nodes, u)), ("%d %d %d", (m.triangles,)),
-                         ("%.17g", (u,)), ("%d %d", (m.gamma1_edges[:0],))]:
+                         ("%.17g", (u,)), ("%d %d", (m.gamma1_edges[:0],)),
+                         ("%.17g", (np.array([0.0, -0.0, 0.0, -0.0]),)),
+                         ("%.17g %.17g", (m.nodes[:1],)), ("%d %d %d", (m.triangles[:1],)),
+                         ("%.17g,%.17g,%.17g", (m.nodes[:0], u[:0]))]:
         old = [fmt % tuple(row) for row in np.column_stack(columns).tolist()]
         assert format_rows(fmt, *columns) == "\n".join(old)
     assert format_rows("%.17g,%.17g,%.17g", m.nodes, u).split("\n")[0] == "0,0,-0"
