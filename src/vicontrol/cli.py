@@ -319,10 +319,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
     )
     body = ["x,y,g", format_rows("%.17g,%.17g,%.17g", sys_.mesh.nodes, rep.g_opt.values)]
     _write(cfg, "g_opt.csv", body)
-    hist = ["iter,J"]
-    for k, j in enumerate(rep.history):
-        hist.append(f"{k},{_fmt(j)}")
-    _write(cfg, "history.csv", hist)
+    hist = format_rows("%d,%.17g", np.arange(len(rep.history)), np.array(rep.history))
+    _write(cfg, "history.csv", ["iter,J", hist])
     report = [
         f"method: {rep.method}",
         f"J_opt: {_fmt(rep.J_opt)}",
@@ -421,12 +419,8 @@ def cmd_diagram(cfg: RunConfig) -> int:
         opt_tol=cfg.opt_tol,
         opt_max_iter=cfg.opt_max_iter,
     )
-    body = ["h,alpha,J_opt,g_norm,d1,d2,d3"]
-    for row in rep.rows:
-        body.append(
-            f"{_fmt(row.h)},{_fmt(row.alpha)},{_fmt(row.J_opt)},{_fmt(row.g_norm)},"
-            f"{_fmt(row.d1)},{_fmt(row.d2)},{_fmt(row.d3)}"
-        )
+    table = np.array([(r.h, r.alpha, r.J_opt, r.g_norm, r.d1, r.d2, r.d3) for r in rep.rows])
+    body = ["h,alpha,J_opt,g_norm,d1,d2,d3", format_rows(",".join(["%.17g"] * 7), table)]
     _write(cfg, "diagram.csv", body, [rep.reference])
     lines = [
         f"d1 (h -> 0 at largest alpha): {', '.join(_fmt(d) for d in rep.d1_sequence)}",
@@ -448,12 +442,10 @@ def cmd_conjecture(cfg: RunConfig) -> int:
         sys_, data, trials=cfg.trials, seed=cfg.seed, family=cfg.family,
         g_low=cfg.g_low, g_high=cfg.g_high, solver=cfg.solver,
     )
-    body = ["trial,mu,min_margin_pointwise,h_norm_margin,convexity_gap"]
-    for t in rep.trials:
-        body.append(
-            f"{t.trial},{_fmt(t.mu)},{_fmt(t.min_margin_pointwise)},"
-            f"{_fmt(t.h_norm_margin)},{_fmt(t.convexity_gap)}"
-        )
+    table = np.array([(t.trial, t.mu, t.min_margin_pointwise, t.h_norm_margin, t.convexity_gap)
+                      for t in rep.trials])
+    body = ["trial,mu,min_margin_pointwise,h_norm_margin,convexity_gap",
+            format_rows("%d,%.17g,%.17g,%.17g,%.17g", table)]
     _write(cfg, "conjecture.csv", body)
 
     wit = ["trial,kind,mu,node,g1,g2"]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,18 +60,18 @@ _QP = np.array(
 
 @dataclass(frozen=True)
 class RateTable:
-    """(parameter, error) rows with a fitted convergence order.
+    """(parameter, error, tag) rows that fit their own convergence order.
 
-    ``fitted_order`` is the least-squares slope of log error against log
-    parameter over the usable rows (positive error, above the solver-
-    tolerance guard); None when fewer than three rows are usable.
+    Rows whose error is zero or below ``guard`` (the solver-tolerance floor)
+    are zero-level and left out of the fit.  ``fitted_order`` is the
+    least-squares slope of log error against log parameter over the other
+    rows; None when fewer than three are usable.
     """
 
     parameter: str
     rows: tuple
-    fitted_order: float | None
     reference: str
-    note: str = ""
+    guard: float = 0.0
 
     def __post_init__(self):
         values = [r[0] for r in self.rows]
@@ -83,6 +84,20 @@ class RateTable:
 
     def errors(self) -> np.ndarray:
         return np.array([r[1] for r in self.rows], dtype=float)
+
+    def _usable(self) -> list:
+        return [(v, e) for v, e, _ in self.rows if e > 0.0 and e >= self.guard]
+
+    @cached_property
+    def fitted_order(self) -> float | None:
+        usable = self._usable()
+        return fit_order(usable) if len(usable) >= 3 else None
+
+    @property
+    def note(self) -> str:
+        if len(self._usable()) < len(self.rows):
+            return ZERO_NOTE
+        return "" if self.fitted_order is not None else "fewer than 3 usable rows; no order fitted"
 
 
 def fit_order(rows) -> float:
@@ -101,27 +116,6 @@ def fit_order(rows) -> float:
     loge = np.log([e for _, e in usable])
     slope = np.polyfit(logp, loge, 1)[0]
     return float(slope)
-
-
-def _make_table(parameter, rows, reference, guard: float = 0.0) -> RateTable:
-    """Build a RateTable, fitting only trustworthy rows.
-
-    Rows whose error is zero or below the solver-tolerance guard are
-    zero-level for fitting purposes and are excluded from the fit.
-    """
-    usable = [(v, e) for v, e, _ in rows if e > 0.0 and e >= guard]
-    note = ""
-    if any(e == 0.0 or e < guard for _, e, _ in rows):
-        note = ZERO_NOTE
-    fitted = None
-    if len(usable) >= 3:
-        fitted = fit_order(usable)
-    elif not note:
-        note = "fewer than 3 usable rows; no order fitted"
-    return RateTable(
-        parameter=parameter, rows=tuple(rows), fitted_order=fitted,
-        reference=reference, note=note,
-    )
 
 
 def monotone_nonincreasing(values) -> bool:
@@ -204,7 +198,7 @@ def _h_sweep(session: StudySession, alpha, levels, tag, reference, measure):
     n_ref = 2 * levels[-1]
     error = measure(n_ref)
     rows = [(session.grid(n).mesh.h, error(n), tag) for n in levels]
-    return _make_table("h", rows, reference.format(n_ref), guard=session.fit_floor)
+    return RateTable("h", tuple(rows), reference.format(n_ref), session.fit_floor)
 
 
 def h_sweep_state(session: StudySession, alpha: float, levels) -> RateTable:
@@ -259,8 +253,8 @@ def alpha_sweep_state(session: StudySession, n: int, alphas) -> dict[str, RateTa
         rows_v.append((a - 1.0, norm_V(sys, diff), "V"))
     ref = f"dirichlet-limit state on the same n={n} grid"
     return {
-        "R": _make_table("alpha_minus_1", rows_r, ref, guard=session.fit_floor),
-        "V": _make_table("alpha_minus_1", rows_v, ref, guard=session.fit_floor),
+        "R": RateTable("alpha_minus_1", tuple(rows_r), ref, session.fit_floor),
+        "V": RateTable("alpha_minus_1", tuple(rows_v), ref, session.fit_floor),
     }
 
 
@@ -417,6 +411,6 @@ def interp_rate_study(f, grad_f, levels, gamma1="bottom") -> dict[str, RateTable
         rows_v.append((mesh.h, e_v, "V"))
     ref = "exact function values at quadrature points (degree-5 rule)"
     return {
-        "H": _make_table("h", rows_h, ref),
-        "V": _make_table("h", rows_v, ref),
+        "H": RateTable("h", tuple(rows_h), ref),
+        "V": RateTable("h", tuple(rows_v), ref),
     }

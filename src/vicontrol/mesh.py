@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -40,23 +40,28 @@ class Mesh:
         Boundary edges (sorted node pairs) on the heat-exchange boundary.
     gamma2_edges : ndarray, shape (E2, 2)
         Boundary edges on the flux boundary.
-    h : float
-        Mesh size, equal to the longest triangle side.
     division_count : int or None
         Subdivisions per side for structured unit-square meshes; None for
         meshes of unknown provenance.
+    h : float
+        Mesh size, the longest triangle side: computed, not given.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     gamma1_edges: np.ndarray
     gamma2_edges: np.ndarray
-    h: float
     division_count: int | None = None
 
     def __post_init__(self):
         for arr in (self.nodes, self.triangles, self.gamma1_edges, self.gamma2_edges):
             arr.setflags(write=False)
+
+    @cached_property
+    def h(self) -> float:
+        """The longest side, from the side vectors assembly uses; sqrt is monotone."""
+        b, c, _ = _element_geometry(self)
+        return float(np.sqrt((c * c + b * b).max()))
 
     @property
     def node_count(self) -> int:
@@ -165,15 +170,8 @@ def build_unit_square(n: int, gamma1_spec="bottom") -> Mesh:
         triangles=triangles,
         gamma1_edges=np.sort(gamma1, axis=1).astype(np.int64),
         gamma2_edges=np.sort(gamma2, axis=1).astype(np.int64),
-        h=_longest_edge(nodes, triangles),
         division_count=n,
     )
-
-
-def _longest_edge(nodes, triangles) -> float:
-    x, y = nodes[:, 0][triangles], nodes[:, 1][triangles]
-    dx, dy = x - np.roll(x, -1, axis=1), y - np.roll(y, -1, axis=1)
-    return float(np.sqrt((dx * dx + dy * dy).max()))  # sqrt is monotone: same max
 
 
 def _unique_edges(tri):
@@ -229,7 +227,6 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         triangles=children,
         gamma1_edges=split_tagged(mesh.gamma1_edges),
         gamma2_edges=split_tagged(mesh.gamma2_edges),
-        h=_longest_edge(nodes, children),
         division_count=None if mesh.division_count is None else 2 * mesh.division_count,
     )
 
@@ -336,9 +333,6 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("gamma1 and gamma2 overlap")
     if (g1 | g2) != boundary:
         raise MeshError("tagged edges do not partition the boundary")
-
-    if mesh.h != _longest_edge(mesh.nodes, mesh.triangles):
-        raise MeshError("h does not equal the longest triangle side")
 
 
 def write_mesh(mesh: Mesh, path) -> None:

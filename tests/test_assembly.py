@@ -20,8 +20,8 @@ from vicontrol.assembly import (
     robin_matrix,
 )
 from vicontrol.errors import AssemblyError, InvalidParameterError
-from vicontrol.mesh import (Mesh, _element_geometry, _longest_edge, build_unit_square,
-                            constant_field, interpolate, refine_uniform)
+from vicontrol.mesh import (Mesh, _element_geometry, build_unit_square, constant_field,
+                            interpolate, refine_uniform)
 from vicontrol.presets import box_control
 
 from oracles import quad_assemble, quad_load
@@ -36,7 +36,6 @@ def unit_right_triangle_mesh():
         triangles=triangles,
         gamma1_edges=np.array([[0, 1]]),
         gamma2_edges=np.array([[0, 2], [1, 2]]),
-        h=np.sqrt(2.0),
     )
 
 
@@ -80,7 +79,7 @@ def _symmetry_test_meshes():
     inner = np.all((m.nodes > 0.0) & (m.nodes < 1.0), axis=1)
     shift = np.random.default_rng(3).uniform(-0.3, 0.3, m.nodes.shape) / 9
     nodes = m.nodes + inner[:, None] * shift
-    yield replace(m, nodes=nodes, h=_longest_edge(nodes, m.triangles))
+    yield replace(m, nodes=nodes)
 
 
 def test_matrices_exactly_symmetric():
@@ -134,7 +133,6 @@ def test_degenerate_triangle_rejected():
         triangles=np.array([[0, 1, 2]]),
         gamma1_edges=np.array([[0, 1]]),
         gamma2_edges=np.array([[1, 2], [0, 2]]),
-        h=2.0,
     )
     with pytest.raises(AssemblyError, match="triangle 0"):
         assemble(mesh)
@@ -218,6 +216,15 @@ def test_full_load_matches_quadrature_oracle():
     f = load_vector(sys, data)
     oracle = quad_load(m, np.ones(m.node_count), 1.0, 1.0, 1.0)
     np.testing.assert_allclose(f, oracle, atol=1e-12)
+
+
+def test_a_callable_or_per_side_flux_loads_as_the_constant():
+    # gamma2 is right, top and left; the per-edge flux values are the same floats
+    m = build_unit_square(8)
+    want = load_vector(assemble(m), ProblemData(alpha=2.0, q=1.0)).tobytes()
+    for q in (lambda x, y: 1.0, {"right": 1.0, "top": 1.0, "left": 1.0}):
+        data = ProblemData(alpha=2.0, q=q)
+        assert load_vector(assemble(m, data), data).tobytes() == want
 
 
 def test_a_load_that_overflows_float64_raises():

@@ -3,6 +3,7 @@ import pytest
 
 from vicontrol.assembly import ProblemData
 from vicontrol.cli import _build_parser, main
+from vicontrol.control import CONJECTURE_TOL
 from vicontrol.convergence import StudySession, alpha_sweep_state, diagram
 from vicontrol.presets import box_control
 
@@ -157,6 +158,45 @@ def test_conjecture_rerun_is_byte_identical(tmp_path):
     assert (a / "witnesses.csv").read_bytes() == (b / "witnesses.csv").read_bytes()
 
 
+def test_witness_rows_match_their_conjecture_trials(tmp_path):
+    out = tmp_path / "run"
+    assert main(["conjecture", "--preset", "contact-v1", "--set", "n=2", "--set", "alpha=1000",
+                 "--set", "trials=40", "--seed", "1", "--out", str(out)]) == 0
+    _, trials = read_csv(out / "conjecture.csv")
+    header, rows = read_csv(out / "witnesses.csv")
+    assert header == ["trial", "kind", "mu", "node", "g1", "g2"]
+    by_trial = {t[0]: t for t in trials}
+    witnesses = [rows[k:k + 9] for k in range(0, len(rows), 9)]  # 9 nodes at n=2
+    assert len(rows) == 9 * len(witnesses) and len(witnesses) == 12
+    for w in witnesses:
+        trial, kind, mu = w[0][:3]
+        assert [r[:4] for r in w] == [[trial, kind, mu, str(i)] for i in range(9)]
+        assert kind == "pointwise" and by_trial[trial][1] == mu
+        assert float(by_trial[trial][2]) < -CONJECTURE_TOL
+    pointwise = sorted(t[0] for t in trials if float(t[2]) < -CONJECTURE_TOL)
+    assert sorted(w[0][0] for w in witnesses) == pointwise
+
+
+def test_a_per_side_flux_matches_its_constant(tmp_path):
+    # gamma1 is the bottom, so flux 1 on the other three sides is q = 1
+    bodies = []
+    for q in ("1", "right=1,top=1,left=1"):
+        out = tmp_path / q
+        assert main(["state", "--preset", "contact-v1", "--set", f"q={q}", "--out", str(out)]) == 0
+        text = (out / "state.csv").read_text()
+        bodies.append([ln for ln in text.splitlines() if not ln.startswith("#")])
+    assert bodies[0] == bodies[1]
+
+
+def test_the_cross_check_key_matches_its_flag(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    args = ["state", "--preset", "contact-v1", "--set", "n=8", "--set", "solver=psor"]
+    assert main(args + ["--cross-check", "--out", str(a)]) == 0
+    assert main(args + ["--set", "cross_check=on", "--out", str(b)]) == 0
+    for name in ("state.csv", "report.txt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_state_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["state", "--preset", "contact-v1", "--set", "n=8"]
@@ -236,13 +276,24 @@ def test_a_non_finite_tolerance_exits_2(tmp_path, setting):
     assert not (out / "state.csv").exists()
 
 
-@pytest.mark.parametrize("q", ["nan", "inf", "-inf", "bottom=nan", "bottom=1,top=inf"])
+_BAD_FLUXES = {
+    "nan": "flux must be finite, got 'nan'",
+    "inf": "flux must be finite, got 'inf'",
+    "-inf": "flux must be finite, got '-inf'",
+    "bottom=nan": "flux must be finite, got 'nan'",
+    "bottom=1,top=inf": "flux must be finite, got 'inf'",
+    "middle=1": "unknown side 'middle' in flux spec 'middle=1'",
+    "abc": "bad flux specification 'abc'",
+}
+
+
+@pytest.mark.parametrize("q", _BAD_FLUXES)
 def test_a_non_finite_flux_exits_2(tmp_path, capsys, q):
     out = tmp_path / "run"
     code = main(["state", "--preset", "contact-v1", "--set", "n=8", "--set", f"q={q}",
                  "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert capsys.readouterr().err == f"configuration error: {_BAD_FLUXES[q]}\n"
     assert not (out / "state.csv").exists()
 
 
@@ -296,15 +347,49 @@ def test_a_negative_iteration_cap_exits_2(tmp_path, capsys, command, setting):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("g", ["file:{text}", "file:{nans}", "nan", "box:nan:0:1:0:1"])
+_BAD_CONTROLS = {
+    "file:{text}": "control file '{text}' holds non-numeric values",
+    "file:{nans}": "non-finite value at node 0",
+    "nan": "non-finite value at node 0",
+    "box:nan:0:1:0:1": "f(0.0, 0.0) = nan at node 0 is not finite",
+    "box:1:0:1": "box control needs value:x0:x1:y0:y1, got 'box:1:0:1'",
+    "box:a:0:1:0:1": "bad box control 'box:a:0:1:0:1'",
+    "file:{missing}": "cannot read control file '{missing}'",
+    "abc": "bad control specification 'abc'",
+}
+
+
+@pytest.mark.parametrize("g", _BAD_CONTROLS)
 def test_bad_control_input_exits_2(tmp_path, capsys, g):
-    text, nans = tmp_path / "text.txt", tmp_path / "nans.txt"
-    text.write_text("one\ntwo\n")
-    nans.write_text("nan\n" * 9)  # one value per node of the n=2 mesh
+    paths = {k: tmp_path / f"{k}.txt" for k in ("text", "nans", "missing")}
+    paths["text"].write_text("one\ntwo\n")
+    paths["nans"].write_text("nan\n" * 9)  # one value per node of the n=2 mesh
     code = main(["state", "--preset", "constant-v1", "--set", "n=2",
-                 "--set", "g=" + g.format(text=text, nans=nans), "--out", str(tmp_path / "run")])
+                 "--set", "g=" + g.format(**paths), "--out", str(tmp_path / "run")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert capsys.readouterr().err == f"configuration error: {_BAD_CONTROLS[g].format(**paths)}\n"
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("state", "cross_check=maybe", "bad value 'maybe' for key 'cross_check'"),
+    ("state", "n=abc", "bad value 'abc' for key 'n'"),
+    ("state", "n", "--set expects key=value, got 'n'"),
+    ("state", "n=0", "n must be >= 1, got 0"),
+    ("state", "family=neumann", "unknown family 'neumann'"),
+    ("state", "solver=cg", "unknown solver 'cg'"),
+    ("conjecture", "trials=0", "trials must be >= 1"),
+    ("sweep-h", "levels=4,x", "bad int list for levels: '4,x'"),
+    ("sweep-h", "g=file:{control}", "file controls require a mesh-bound command"),
+])
+def test_a_bad_setting_exits_2_with_its_message(tmp_path, capsys, command, setting, message):
+    control = tmp_path / "g.txt"
+    control.write_text("0\n" * 81)  # one value per node of the n=8 mesh
+    out = tmp_path / "run"
+    code = main([command, "--preset", "contact-v1", "--set", setting.format(control=control),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_sweep_alpha_honours_gamma1_and_solver(tmp_path):

@@ -46,9 +46,9 @@ def test_fit_order_excludes_zero_errors():
 
 def test_rate_table_validation():
     with pytest.raises(InvalidParameterError):
-        RateTable("h", ((0.5, 1.0, "V"), (0.5, 0.5, "V")), None, "ref")
+        RateTable("h", ((0.5, 1.0, "V"), (0.5, 0.5, "V")), "ref")
     with pytest.raises(InvalidParameterError):
-        RateTable("h", ((0.5, 1.0, "V"), (0.25, -0.5, "V")), None, "ref")
+        RateTable("h", ((0.5, 1.0, "V"), (0.25, -0.5, "V")), "ref")
 
 
 def test_quiet_data_gives_all_zero_errors():

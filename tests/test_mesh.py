@@ -10,7 +10,6 @@ from vicontrol.mesh import (
     SIDES,
     Mesh,
     ScalarField,
-    _longest_edge,
     _prolongation,
     build_unit_square,
     constant_field,
@@ -74,25 +73,23 @@ def _longest_edge_by_norms(nodes, triangles):
 
 
 def _edge_test_meshes():
-    """(nodes, triangles, h): structured and refined meshes with their h,
-    then randomly perturbed structured meshes, which have none."""
+    """Structured and refined meshes, then randomly perturbed structured ones."""
     meshes = [build_unit_square(n) for n in (1, 2, 3, 128)]
     meshes += [refine_uniform(build_unit_square(3, "bottom,left")),
                refine_uniform(refine_uniform(build_unit_square(1)))]
-    for m in meshes:
-        yield m.nodes, m.triangles, m.h
+    yield from meshes
     rng = np.random.default_rng(5)
     for n in (2, 7, 16):
         m = build_unit_square(n)
-        yield m.nodes + rng.uniform(-0.3, 0.3, m.nodes.shape) / n, m.triangles, None
+        yield Mesh(m.nodes + rng.uniform(-0.3, 0.3, m.nodes.shape) / n, m.triangles,
+                   m.gamma1_edges, m.gamma2_edges)
 
 
 def test_longest_edge_is_bitwise_the_largest_side_norm():
-    # validate_mesh compares h with _longest_edge exactly, so both formulas
-    # must round alike
-    for nodes, tri, h in _edge_test_meshes():
-        assert _longest_edge(nodes, tri) == _longest_edge_by_norms(nodes, tri)
-        assert h in (None, _longest_edge(nodes, tri))
+    # h comes from the squared side vectors of the element geometry; it must
+    # round as the largest of the side norms does
+    for m in _edge_test_meshes():
+        assert m.h == _longest_edge_by_norms(m.nodes, m.triangles)
 
 
 def test_refine_inherits_boundary_tags():
@@ -237,7 +234,6 @@ def test_validate_catches_tag_overlap():
         triangles=m.triangles.copy(),
         gamma1_edges=m.gamma1_edges.copy(),
         gamma2_edges=np.vstack([m.gamma2_edges, m.gamma1_edges[:1]]),
-        h=m.h,
     )
     with pytest.raises(MeshError):
         validate_mesh(broken)
