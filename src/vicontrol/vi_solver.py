@@ -18,23 +18,24 @@ solvers read, and every report holds the full nodal vector.
 
 Each problem reduces itself to its free nodes once, on first use, and
 :meth:`VIProblem.with_load` shares the reduction with the same VI under
-another load.  The reduction keeps only the last LU factor made by the
+another load.  The reduction keeps only the last factor made by the
 active-set and adjoint solves: the solves that share a reduction (line
 searches, adjoint lifts) start from the contact set where the previous
 one ended, so that is the factor they reuse.  A block of at most DENSE_MAX
 unknowns is factored dense by LAPACK's getrf, below SuperLU's fixed cost.
 SuperLU orders a larger block by symmetric minimum degree on A + A^T in its
 symmetric mode (an SPD block keeps its diagonal pivots, a non-symmetric one
-is still pivoted) and factors it in panels of one column.
+is still pivoted) and factors it in panels of one column.  The last SuperLU
+factor stays as a base: a block whose contact set is at most BORDER_MAX
+nodes away from the base's is solved by bordering the base factor with
+those nodes, exact up to rounding, instead of factoring afresh.
 
 Active-set solves of a problem with an even division count n start from
 the Galerkin coarse VI (P^T A P, P^T F) on the n/2 grid: its solution is
 prolonged, smoothed by a few damped projected-Jacobi sweeps, and the contact
-set is read off with the active-set update rule.  From n = TWO_LEVEL_MIN on,
-one more active-set step follows: ``scipy.sparse.linalg.cg``, preconditioned
-by Jacobi plus the truncated coarse grid with the coarse solve's LU, solves
-its inactive system, or the read-off set stands if cg misses its tolerance.
-So the fine solve usually factors once, and its answer is the cold start's.
+set is read off with the active-set update rule.  The fine solve then
+usually makes one fresh LU and one bordered step, and its answer agrees
+with the cold start's to rounding.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .assembly import (
     AssembledSystem,
@@ -77,11 +77,9 @@ ENUMERATE_MAX_FREE = 14
 NESTED_MIN = 8
 SMOOTH_SWEEPS = 20
 JACOBI_OMEGA = 2.0 / 3.0
-TWO_LEVEL_MIN = 128
-TWO_LEVEL_TOL = 1e-6
-TWO_LEVEL_MAX_ITER = 30
 FEASIBILITY_TOL = 1e-12
 DENSE_MAX = 128
+BORDER_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ class VIReport:
     ``solution`` is the full nodal vector, pinned trace included; ``values()``
     returns it.  ``active_set`` lists the nodes where the obstacle binds.
     ``iterations`` counts the solve on p only, not the coarse solves of a
-    nested start.
+    nested start.  Starts ending on one contact set agree to rounding.
     """
 
     solution: np.ndarray
@@ -173,7 +171,7 @@ class _Operator:
         self.bad_diagonal = bool(np.any(self.diag <= 0.0))
         data = (self.a_ff.data, self.template, self.shift)
         self.finite = all(np.isfinite(x).all() for x in data) and (self.lb_f < np.inf).all()
-        self.key = self.lu = None
+        self.key = self.lu = self.base = self.base_active = None
 
     @cached_property
     def colour_rows(self) -> list:
@@ -215,21 +213,28 @@ class _Operator:
         return out[:-1].T
 
     def factor(self, active: np.ndarray):
-        """LU of the block of ``active``; only the last is kept.  The old factor
-        is dropped before the next one is made, so one operator never holds
-        two.  Up to DENSE_MAX unknowns it is a :class:`_DenseLU` of
-        :meth:`dense_block`, else SuperLU's of :meth:`block`, ordered by
-        minimum degree on A + A^T in panels of one column, which suit the
-        small supernodes of 2-D P1 blocks: same pivots and fill as
-        SuperLU's default of 10, about 30 % less factor time."""
+        """LU of the block of ``active``: a :class:`_DenseLU` of :meth:`dense_block`
+        up to DENSE_MAX unknowns, a :class:`_Bordered` one on the base (the
+        last SuperLU factor) within BORDER_MAX nodes of its mask, else a new
+        base, SuperLU's of :meth:`block` ordered by minimum degree on A + A^T
+        in panels of one column (the pivots and fill of the default panel of
+        10 in about 30 % less time: 2-D P1 blocks have small supernodes).  Old
+        factors go first, so an operator never holds two SuperLU factors."""
         key = active.tobytes()
         if key != self.key:
             self.key = self.lu = None
+            flips = None if self.base is None else np.count_nonzero(active != self.base_active)
             if active.size - np.count_nonzero(active) <= DENSE_MAX:
+                self.base = None
                 self.lu = _DenseLU(self.dense_block(active))
+            elif flips is not None and flips <= BORDER_MAX:
+                self.lu = _Bordered(self, active) if flips else self.base
             else:
-                self.lu = spla.splu(self.block(active), permc_spec="MMD_AT_PLUS_A",
-                                    panel_size=1, options=dict(SymmetricMode=True))
+                self.base = None
+                self.lu = self.base = spla.splu(
+                    self.block(active), permc_spec="MMD_AT_PLUS_A", panel_size=1,
+                    options=dict(SymmetricMode=True))
+                self.base_active = active.copy()
             self.key = key
         return self.lu
 
@@ -245,6 +250,41 @@ class _DenseLU:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return dgetrs(self.lu, self.piv, rhs)[0]
+
+
+class _Bordered:
+    """Solves on the block of ``active`` with op's base factor B, bordered
+    (Hager, SIAM Rev. 31, 1989): nodes S that left the base contact set join
+    as columns a_ff[I0, S] and rows a_ff[S, I0], I0 the base's inactive
+    nodes, and nodes that joined it are pinned by unit columns and rows.
+    A solve is one with B plus W z, W = B^-1 C for the k border columns C,
+    z from the getrf LU of the k x k Schur complement E - D W."""
+
+    def __init__(self, op: _Operator, active: np.ndarray):
+        self.base, inactive0 = op.base, ~op.base_active
+        freed, pinned = np.flatnonzero(~active & ~inactive0), np.flatnonzero(active & inactive0)
+        idx0 = np.flatnonzero(inactive0)
+        m, s, k = idx0.size, freed.size, freed.size + pinned.size
+        pos = np.where(inactive0, inactive0.cumsum() - 1, -1)
+        pos[freed] = m + np.arange(s)  # place in the bordered system, else -1
+        self.src, self.pin = pos[~active], pos[pinned]
+        C = np.zeros((m + k, k), order="F")  # [a_ff[I0, S], e_R] over E = [a_ff[S, S], 0]
+        C[:m + s, :s] = op.csc[:, freed][np.append(idx0, freed)].toarray()
+        C[self.pin, np.arange(s, k)] = 1.0
+        self.D, self.W = op.a_ff[freed][:, idx0], self.base.solve(C[:m])
+        self.schur = _DenseLU(C[m:] - self._border(self.W))
+
+    def _border(self, y):
+        """D y: the border rows a_ff[S, I0], then the pinned entries."""
+        return np.concatenate([self.D @ y, y[self.pin]])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        m = self.W.shape[0]
+        b = np.zeros(m + self.W.shape[1])
+        b[self.src] = rhs
+        y = self.base.solve(b[:m])
+        z = self.schur.solve(b[m:] - self._border(y))
+        return np.concatenate([y - self.W @ z, z])[self.src]
 
 
 def _cut(a, keep: np.ndarray):
@@ -353,7 +393,8 @@ def solve_psor(
         prev, step = step, float(np.abs(u_f - u_old).max(initial=0.0))
         rho = step / prev if step else 0.0
         est = step * rho / (1.0 - rho) if rho < 1.0 else np.inf
-        res = _complementarity(u_f - lb_f, a_ff @ u_f - f_f)
+        if est <= tol or not step < np.inf or iters == max_iter:  # else res cannot stop it
+            res = _complementarity(u_f - lb_f, a_ff @ u_f - f_f)
     if not res <= tol:
         raise NonConvergenceError(f"projected SOR: residual {res:.3e} > tol {tol:.1e} after "
                                   f"{iters} sweeps", residual=res)
@@ -486,8 +527,7 @@ def _coarse_contact(p: VIProblem, tol: float) -> np.ndarray | None:
     """Contact set of p, on its grid of n = p.division_count divisions, from
     its Galerkin VI on the n/2 grid, itself seeded so: the coarse solution is
     prolonged, smoothed by SMOOTH_SWEEPS damped projected-Jacobi sweeps, and
-    the active-set update rule is read off it; for n >= TWO_LEVEL_MIN that
-    set takes one :func:`_two_level_step`.  None (cold start) if n is None,
+    the active-set update rule is read off it.  None (cold start) if n is None,
     odd or < 2 NESTED_MIN, if p has a non-positive free diagonal entry, or
     when the coarse solve raises NonConvergenceError or InvalidParameterError
     (its Galerkin load sums several fine entries, so it can overflow where
@@ -510,39 +550,10 @@ def _coarse_contact(p: VIProblem, tol: float) -> np.ndarray | None:
     except (NonConvergenceError, InvalidParameterError):
         return None
     free, a_ff, f_f, lb_f = _free_split(p)
-    diag = p._operator.diag
     u_f = np.maximum(lb_f, (P @ u_c.values())[free])
     for _ in range(SMOOTH_SWEEPS):
-        u_f = np.maximum(lb_f, u_f + JACOBI_OMEGA * (f_f - a_ff @ u_f) / diag)
-    active = a_ff @ u_f - f_f > u_f - lb_f
-    if n >= TWO_LEVEL_MIN:
-        active = _two_level_step(p._operator, f_f, u_f, active, P, pc._operator)
-    return free[active]
-
-
-def _two_level_step(op: _Operator, f_f, u_f, active, P, op_c: _Operator) -> np.ndarray:
-    """The active-set update of ``active`` (a mask of op's free nodes) with
-    its inactive system, ``op.block``, solved by ``scipy.sparse.linalg.cg``
-    from u_f and preconditioned by D_I^-1 + P_I A_c^-1 P_I^T: D_I its
-    diagonal, A_c^-1 the last LU of the coarse operator op_c and P_I the
-    prolongation P cut to the inactive nodes of both grids.  ``active`` itself
-    when op_c holds no factor, or unless cg reports success and the true
-    relative residual is at most TWO_LEVEL_TOL (a non-finite value fails)."""
-    if op_c.lu is None:
-        return active
-    a_ff, lb_f, idx = op.a_ff, op.lb_f, np.flatnonzero(~active)
-    A, d_inv = op.block(active), 1.0 / op.diag[idx]
-    P_I = P[op.free[idx]][:, op_c.free[~np.frombuffer(op_c.key, dtype=bool)]]
-    M = LinearOperator(A.shape, dtype=float,
-                       matvec=lambda r: d_inv * r + P_I @ op_c.lu.solve(P_I.T @ r))
-    u = np.where(active, lb_f, 0.0)
-    b = (f_f - a_ff @ u)[idx]
-    x, info = cg(A, b, u_f[idx], rtol=TWO_LEVEL_TOL, maxiter=TWO_LEVEL_MAX_ITER, M=M)
-    # cg reports success untried at maxiter 0, and has no breakdown test
-    if info or not np.linalg.norm(b - A @ x) <= TWO_LEVEL_TOL * np.linalg.norm(b):
-        return active
-    u[idx] = x
-    return a_ff @ u - f_f > u - lb_f
+        u_f = np.maximum(lb_f, u_f + JACOBI_OMEGA * (f_f - a_ff @ u_f) / p._operator.diag)
+    return free[a_ff @ u_f - f_f > u_f - lb_f]
 
 
 SOLVERS = ("active_set", "psor")
@@ -578,7 +589,7 @@ def solve_state(
     mesh start from the contact set of the smoothed, prolonged coarse
     solution (see :func:`_coarse_contact`), but the active-set reference of
     a PSOR solve starts from PSOR's contact set; its answer, the LU solve on
-    the set where it stops, does not depend on the start.
+    the set where it stops, agrees to rounding whatever the start.
     """
     p = build_vi_problem(mesh, sys, data, family)
     rep = _solve(p, solver, tol, max_iter)

@@ -1,12 +1,11 @@
-"""Property test: the nested start, two-level step included, changes where
-the active-set method starts, never where it ends."""
+"""Property test: the nested start, with its bordered fine steps, changes
+where the active-set method starts, never where it ends."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from vicontrol import vi_solver
 from vicontrol.assembly import ProblemData, assemble
 from vicontrol.mesh import SIDES, build_unit_square
 from vicontrol.presets import box_control
@@ -40,22 +39,11 @@ def boxes(draw):
     q=st.floats(-2.0, 2.0),
     g=boxes(),
 )
-def test_a_nested_start_with_a_step_on_every_level_ends_at_the_cold_answer(
-        n, family, gamma1, alpha, q, g):
+def test_a_nested_start_ends_at_the_cold_answer(n, family, gamma1, alpha, q, g):
     m = build_unit_square(n, gamma1)
     data = ProblemData(alpha=alpha, b=1.0, q=q, M_cost=1.0, g=g)
     sys = assemble(m, data)
     cold = solve_active_set(build_vi_problem(m, sys, data, family))
-    step, levels = vi_solver._two_level_step, []
-
-    def counted_step(op, *args):
-        levels.append(op.template.size)
-        return step(op, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vi_solver, "TWO_LEVEL_MIN", 16)
-        mp.setattr(vi_solver, "_two_level_step", counted_step)
-        nested = solve_state(m, sys, data, family)
-    assert levels == [17 ** 2, 33 ** 2][:n // 16]  # the step ran on each level, coarse first
+    nested = solve_state(m, sys, data, family)
     assert nested.residual <= DEFAULT_TOL
     np.testing.assert_allclose(nested.values(), cold.values(), rtol=0.0, atol=1e-9)

@@ -1,4 +1,3 @@
-import functools
 import gc
 import warnings
 import weakref
@@ -37,6 +36,11 @@ from vicontrol.vi_solver import (
     solve_psor,
     solve_state,
 )
+
+
+# a bordered factor's solve rounds otherwise than a fresh LU of the same
+# block, so starts that end on one contact set agree to this max-norm gap
+ROUNDING = 1e-13
 
 
 def contact_problem(n=2, alpha=2.0, g=-20.0, q=1.0, b=1.0):
@@ -214,7 +218,7 @@ def test_the_reference_answer_does_not_depend_on_its_start(family, n, alpha):
     everywhere = reference(p._operator.free)
     assert from_psor.iterations == 1
     for rep in (from_psor, everywhere):
-        assert rep.values().tobytes() == nested.values().tobytes()
+        np.testing.assert_allclose(rep.values(), nested.values(), rtol=0.0, atol=ROUNDING)
         assert rep.active_set.tobytes() == nested.active_set.tobytes()
 
 
@@ -444,9 +448,11 @@ class _Factor:
 
 
 def _record_factors(monkeypatch, record):
-    """Route both kinds of vi_solver factor, SuperLU's splu and the dense
-    _DenseLU, through a proxy that passes each factor to record."""
-    dense_lu = vi_solver._DenseLU
+    """Route both kinds of vi_solver block factor, SuperLU's splu and the
+    dense _DenseLU, through a proxy that passes each factor to record.  The
+    LU of a bordered system's Schur complement factors no block: it goes
+    unrecorded."""
+    dense_lu, bordered = vi_solver._DenseLU, vi_solver._Bordered
 
     def splu(a, **kw):
         factor = _Factor(spla.splu(a, **kw), a.shape[0])
@@ -458,8 +464,14 @@ def _record_factors(monkeypatch, record):
         record(factor)
         return factor
 
+    def unrecorded(op, active):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vi_solver, "_DenseLU", dense_lu)
+            return bordered(op, active)
+
     monkeypatch.setattr(vi_solver, "spla", SimpleNamespace(splu=splu))
     monkeypatch.setattr(vi_solver, "_DenseLU", dense)
+    monkeypatch.setattr(vi_solver, "_Bordered", unrecorded)
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
@@ -512,12 +524,17 @@ def _block_test_problems():
         A=(P.T @ dirichlet.A @ P).tocsr(), F=P.T @ dirichlet.F, lower_bound=np.zeros(81),
         dirichlet_nodes=gamma1, dirichlet_values=np.ones(gamma1.size),
     )
-    a = (sp.random(40, 40, density=0.15, random_state=5) + 5.0 * sp.eye(40)).tocsr()
+    return [robin, dirichlet, galerkin, _skew_problem(40)]
+
+
+def _skew_problem(n):
+    """A non-symmetric n x n matrix, about six entries a row plus 5 I,
+    whose CSR rows are stored in reverse column order."""
+    a = (sp.random(n, n, density=6 / n, random_state=5) + 5.0 * sp.eye(n)).tocsr()
     rev = np.concatenate([np.arange(a.indptr[i + 1] - 1, a.indptr[i] - 1, -1)
-                          for i in range(40)])
-    skew = VIProblem(A=sp.csr_matrix((a.data[rev], a.indices[rev], a.indptr), shape=a.shape),
-                     F=np.ones(40), lower_bound=np.zeros(40))
-    return [robin, dirichlet, galerkin, skew]
+                          for i in range(n)])
+    return VIProblem(A=sp.csr_matrix((a.data[rev], a.indices[rev], a.indptr), shape=a.shape),
+                     F=np.ones(n), lower_bound=np.zeros(n))
 
 
 def _block_test_operators():
@@ -659,6 +676,100 @@ def test_switching_factor_kinds_never_holds_two_factors(monkeypatch):
     assert len(live) == 1
 
 
+def _flipped(rng, active, pin, free):
+    """``active`` with ``pin`` of its inactive nodes made active and ``free``
+    of its active nodes made inactive, drawn at random."""
+    out = active.copy()
+    out[rng.choice(np.flatnonzero(~active), pin, replace=False)] = True
+    out[rng.choice(np.flatnonzero(active), free, replace=False)] = False
+    return out
+
+
+def _assert_solves_as_a_fresh_lu(rng, op, active):
+    rhs = rng.standard_normal(np.count_nonzero(~active))
+    want = spla.splu(op.block(active), permc_spec="COLAMD").solve(rhs)
+    assert np.abs(op.factor(active).solve(rhs) - want).max() <= ROUNDING * np.abs(want).max()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _block_test_problems()[0], lambda: _block_test_problems()[1],
+    lambda: _skew_problem(400),  # above DENSE_MAX, and not symmetric
+], ids=["robin", "dirichlet_limit", "skew"])
+def test_a_bordered_solve_matches_a_fresh_lu(make):
+    # the base's contact set moved by k <= BORDER_MAX nodes: pins only,
+    # frees only, or both
+    op, rng = make()._operator, np.random.default_rng(11)
+    base = rng.random(op.free.size) < 0.3
+    assert isinstance(op.factor(base), spla.SuperLU)
+    for k in range(1, vi_solver.BORDER_MAX + 1):
+        for pin in {0, k // 2, k}:
+            active = _flipped(rng, base, pin, k - pin)
+            assert isinstance(op.factor(active), vi_solver._Bordered)
+            _assert_solves_as_a_fresh_lu(rng, op, active)
+    assert op.factor(base) is op.base
+
+
+def test_an_adjoint_lift_solves_through_a_bordered_factor():
+    p = _block_test_problems()[0]
+    op, rng = p._operator, np.random.default_rng(12)
+    base = rng.random(op.free.size) < 0.3
+    op.factor(base)
+    active = _flipped(rng, base, 3, 4)
+    rhs = rng.standard_normal(p.size)
+    w = adjoint_lift(p, op.free[active], rhs)
+    assert isinstance(op.lu, vi_solver._Bordered)
+    want = np.zeros(p.size)
+    want[op.free[~active]] = spla.splu(op.block(active)).solve(rhs[op.free[~active]])
+    assert np.abs(w - want).max() <= ROUNDING * np.abs(want).max()
+
+
+def test_a_move_past_border_max_refactors_and_no_two_superlu_factors_live(monkeypatch):
+    live, alive_at_make, sizes = weakref.WeakSet(), [], []
+
+    def record(factor):
+        alive_at_make.append(len(live))
+        sizes.append(factor.size)
+        live.add(factor)
+
+    _record_factors(monkeypatch, record)
+    op, rng = _block_test_operators()[0], np.random.default_rng(13)
+    first = rng.random(op.free.size) < 0.3
+    second = _flipped(rng, first, 8, vi_solver.BORDER_MAX - 7)  # one flip too many
+    masks = [first, _flipped(rng, first, 2, 3), second,
+             _flipped(rng, second, 8, vi_solver.BORDER_MAX - 8), _flipped(rng, second, 0, 2)]
+    for active in masks:
+        op.factor(active)
+    assert sizes == [np.count_nonzero(~first), np.count_nonzero(~second)]  # two bases
+    assert alive_at_make == [0, 0]
+    assert op.lu.base is op.base  # the last mask is solved bordered on the second base
+    gc.collect()
+    assert len(live) == 1
+
+
+def test_an_exactly_singular_bordered_system_raises_as_splu_does(monkeypatch):
+    monkeypatch.setattr(vi_solver, "DENSE_MAX", 0)
+    a = np.array([[2.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
+    op = VIProblem(A=sp.csr_matrix(a), F=np.ones(4), lower_bound=np.zeros(4))._operator
+    op.factor(np.array([False, False, False, True]))  # the base, of rows 0-2
+    with pytest.raises(RuntimeError, match="Factor is exactly singular"):
+        op.factor(np.zeros(4, dtype=bool))
+    assert op.lu is None and op.key is None
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_a_nested_state_solve_makes_one_fresh_fine_lu(family, monkeypatch):
+    sizes = []
+    _record_factors(monkeypatch, lambda factor: sizes.append(factor.size))
+    for n in (64, 128):
+        m, sys, data = _contact_v1(n)
+        sizes.clear()
+        rep = solve_state(m, sys, data, family)
+        assert rep.iterations <= 2
+        assert sum(s > (n // 2 + 1) ** 2 for s in sizes) == 1 and sizes[-1] > (n // 2 + 1) ** 2
+        cold = solve_active_set(build_vi_problem(m, sys, data, family))
+        np.testing.assert_allclose(rep.values(), cold.values(), rtol=0.0, atol=ROUNDING)
+
+
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
 def test_replace_reduces_a_changed_matrix_afresh(family):
     m, sys, data = contact_problem(n=8)
@@ -701,7 +812,7 @@ def test_nested_start_gives_the_cold_answer_in_few_iterations(family):
     cold = solve_active_set(build_vi_problem(m, sys, data, family))
     rep = solve_state(m, sys, data, family)
     assert cold.iterations > 5 >= rep.iterations
-    assert rep.values().tobytes() == cold.values().tobytes()
+    np.testing.assert_allclose(rep.values(), cold.values(), rtol=0.0, atol=ROUNDING)
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
@@ -711,7 +822,7 @@ def test_smoothed_nested_start_needs_at_most_two_fine_iterations(family):
     cold = solve_active_set(build_vi_problem(m, sys, data, family))
     rep = solve_state(m, sys, data, family)
     assert rep.iterations <= 2
-    assert rep.values().tobytes() == cold.values().tobytes()
+    np.testing.assert_allclose(rep.values(), cold.values(), rtol=0.0, atol=ROUNDING)
 
 
 def test_nested_start_never_sweeps_a_non_positive_diagonal():
@@ -789,80 +900,6 @@ def test_a_system_assembled_on_another_mesh_is_rejected(solve):
     with pytest.raises(InvalidParameterError, match="different mesh"):
         solve(m, other, data)
     solve(build_unit_square(8), sys, data)  # an equal mesh built afresh is accepted
-
-
-@functools.lru_cache(maxsize=2)
-def _contact_v1_128(family):
-    """The n = 128 contact-v1 box problem of a family and the bytes of its
-    cold active-set answer."""
-    m, sys, data = contact_problem(n=128, g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
-    cold = solve_active_set(build_vi_problem(m, sys, data, family))
-    return m, sys, data, cold.values().tobytes()
-
-
-@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
-def test_two_level_step_leaves_one_fine_lu_per_state_solve(family, monkeypatch):
-    m, sys, data, cold = _contact_v1_128(family)
-    live, alive_at_make, sizes = weakref.WeakSet(), [], []
-
-    def record(factor):
-        alive_at_make.append(len(live))
-        sizes.append(factor.size)
-        live.add(factor)
-
-    step, made_in_step = vi_solver._two_level_step, []
-
-    def counted_step(*args):
-        before = len(sizes)
-        active = step(*args)
-        made_in_step.append(len(sizes) - before)
-        return active
-
-    _record_factors(monkeypatch, record)
-    monkeypatch.setattr(vi_solver, "_two_level_step", counted_step)
-    rep = solve_state(m, sys, data, family)
-    assert rep.iterations == 1
-    assert made_in_step == [0]  # one step, on the n = 128 level, and it factors nothing
-    assert sum(s > 65 ** 2 for s in sizes) == 1 and sizes[-1] > 65 ** 2
-    assert alive_at_make == [0] * len(alive_at_make)  # the coarse factor went first
-    assert rep.values().tobytes() == cold
-
-
-def _recorded_steps(monkeypatch):
-    """Route _two_level_step through a wrapper; each call appends
-    (op, f_f, the input mask, the returned mask) to the list returned."""
-    step, calls = vi_solver._two_level_step, []
-
-    def recorded_step(op, f_f, u_f, active, P, op_c):
-        calls.append((op, f_f, active.copy(), step(op, f_f, u_f, active, P, op_c)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(vi_solver, "_two_level_step", recorded_step)
-    return calls
-
-
-@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
-def test_the_two_level_step_reads_its_set_off_an_exact_inactive_solve(family, monkeypatch):
-    m, sys, data, _ = _contact_v1_128(family)
-    calls = _recorded_steps(monkeypatch)
-    solve_state(m, sys, data, family)
-    [(op, f_f, active, got)] = calls
-    idx, u = np.flatnonzero(~active), np.where(active, op.lb_f, 0.0)
-    u[idx] = spla.splu(inactive_block(op.a_ff, active)).solve((f_f - op.a_ff @ u)[idx])
-    np.testing.assert_array_equal(got, op.a_ff @ u - f_f > u - op.lb_f)
-    assert not np.array_equal(got, active)
-
-
-@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
-def test_a_failed_two_level_step_falls_back_to_the_read_off_set(family, monkeypatch):
-    m, sys, data, cold = _contact_v1_128(family)
-    monkeypatch.setattr(vi_solver, "TWO_LEVEL_MAX_ITER", 0)
-    calls = _recorded_steps(monkeypatch)
-    rep = solve_state(m, sys, data, family)
-    assert rep.iterations > 1
-    assert rep.values().tobytes() == cold
-    [(_, _, active, got)] = calls
-    np.testing.assert_array_equal(got, active)  # cg's success at maxiter 0 is not taken
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
