@@ -153,7 +153,9 @@ class _Operator:
     dirichlet_values; ``template`` is a full vector holding the pinned
     values; ``lu`` is the LU factor of a_ff on the nodes outside the last
     active mask factored, whose bytes are ``key``.  Blocks are cut from ``csc``
-    or gathered dense from ``ell``, copies of a_ff made on first use.
+    or gathered dense from ``ell``, copies of a_ff made on first use, and
+    PSOR sweeps ``psor_layout``, a_ff with each colour class contiguous
+    (red-black by grid parity when p carries its division count).
     """
 
     def __init__(self, p: VIProblem):
@@ -166,7 +168,7 @@ class _Operator:
             self.free, self.a_ff = keep.nonzero()[0], _cut(a, keep)
             self.template[p.dirichlet_nodes] = p.dirichlet_values
             self.shift = (a @ self.template)[self.free]
-        self.lb_f = p.lower_bound[self.free]
+        self.lb_f, self.division_count = p.lower_bound[self.free], p.division_count
         self.diag = self.a_ff.diagonal()
         self.bad_diagonal = bool(np.any(self.diag <= 0.0))
         data = (self.a_ff.data, self.template, self.shift)
@@ -174,9 +176,20 @@ class _Operator:
         self.key = self.lu = self.base = self.base_active = None
 
     @cached_property
-    def colour_rows(self) -> list:
-        """Each PSOR colour class of a_ff with its rows."""
-        return [(c, self.a_ff[c]) for c in _colour_classes(self.a_ff)]
+    def psor_layout(self) -> tuple:
+        """(classes, perm, rows): PSOR's colour classes of a_ff (see
+        :func:`solve_psor`); perm, the classes concatenated, so each is a
+        contiguous run; and each class's rows of a_ff with column j relabelled
+        to j's place in perm, not re-sorted, so rows sum in a_ff's order."""
+        n = self.division_count
+        classes = None if n is None else _grid_classes(self.a_ff, self.free, n)
+        if classes is None:
+            classes = _colour_classes(self.a_ff)
+        perm = np.concatenate([np.arange(0), *classes])
+        place, rows = perm.argsort(), [self.a_ff[c] for c in classes]
+        for a_c in rows:
+            a_c.indices[:] = place.take(a_c.indices)
+        return classes, perm, rows
 
     @cached_property
     def csc(self) -> sp.csc_matrix:
@@ -358,6 +371,20 @@ def _colour_classes(a: sp.csr_matrix) -> list[np.ndarray]:
     return [np.flatnonzero(colour == c) for c in range(int(colour.max(initial=-1)) + 1)]
 
 
+def _grid_classes(a: sp.csr_matrix, free: np.ndarray, n: int) -> list[np.ndarray] | None:
+    """Red-black classes of the free nodes ``free`` of an n-division grid
+    with free-node matrix a, by the parity of i + j at node j (n + 1) + i,
+    the first free node red; None if a stores a nonzero coupling two nodes
+    of one colour.  On the grids built here :func:`_colour_classes` agrees."""
+    j, i = np.divmod(free, n + 1)
+    colour = (i + j) % 2
+    colour ^= colour[:1]
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    if np.any((colour.take(rows) == colour.take(a.indices)) & (rows != a.indices) & (a.data != 0)):
+        return None
+    return [c for c in (np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)) if c.size]
+
+
 def solve_psor(
     p: VIProblem,
     tol: float = DEFAULT_TOL,
@@ -366,9 +393,13 @@ def solve_psor(
 ) -> VIReport:
     """Projected SOR.
 
-    Sweeps the colour classes of the free-node matrix graph in order (see
-    :func:`_colour_classes`); the rows of one class do not couple, so each
-    class takes its Gauss-Seidel update at once.  The update is relaxed by
+    Sweeps the colour classes of the free-node matrix graph in order: red
+    and black by the parity of i + j when p carries its division count and
+    its matrix couples no two nodes of one parity (:func:`_grid_classes`),
+    else greedy classes (:func:`_colour_classes`).  The rows of one class do
+    not couple, so each class takes its Gauss-Seidel update at once, in
+    place on its contiguous run of the permuted iterate (see
+    ``_Operator.psor_layout``).  The update is relaxed by
     Young's 2 / (1 + sin(pi / max(n, 2))) when p carries its division count n,
     else by PSOR_OMEGA, and projected onto the obstacle, so iterates stay
     feasible.  Terminates when the complementarity residual and the error
@@ -382,18 +413,28 @@ def solve_psor(
     n = p.division_count
     omega = PSOR_OMEGA if n is None else 2.0 / (1.0 + np.sin(np.pi / max(n, 2)))
     free, a_ff, f_f, lb_f = _free_split(p)
+    classes, perm, rows = op.psor_layout
     u_f = np.maximum(lb_f, 0.0 if u0 is None else np.asarray(u0, dtype=float)[free])
-    blocks = [(c, a_c, f_f[c], op.diag[c], lb_f[c]) for c, a_c in op.colour_rows]
+    u_p = u_f[perm]
+    runs = np.cumsum([0, *(c.size for c in classes)])
+    blocks = [(u_p[s:e], a_c, f_f[c], op.diag[c], lb_f[c])  # u_p[s:e] is a view
+              for s, e, c, a_c in zip(runs, runs[1:], classes, rows)]
     iters, res, est, step = 0, np.inf, np.inf, np.nan
     while iters < max_iter and not (res <= tol and est <= tol):
         iters += 1
-        u_old = u_f.copy()
-        for c, a_c, f_c, d_c, lb_c in blocks:
-            u_f[c] = np.maximum(lb_c, u_f[c] + omega * ((f_c - a_c @ u_f) / d_c))
-        prev, step = step, float(np.abs(u_f - u_old).max(initial=0.0))
+        u_old = u_p.copy()
+        for u_c, a_c, f_c, d_c, lb_c in blocks:  # max(l, u + omega ((f - A u) / d)), in place
+            t = a_c @ u_p
+            np.subtract(f_c, t, out=t)
+            t /= d_c
+            t *= omega
+            t += u_c
+            np.maximum(lb_c, t, out=u_c)
+        prev, step = step, float(np.abs(u_p - u_old).max(initial=0.0))
         rho = step / prev if step else 0.0
         est = step * rho / (1.0 - rho) if rho < 1.0 else np.inf
         if est <= tol or not step < np.inf or iters == max_iter:  # else res cannot stop it
+            u_f[perm] = u_p  # so u_f is current after the last sweep
             res = _complementarity(u_f - lb_f, a_ff @ u_f - f_f)
     if not res <= tol:
         raise NonConvergenceError(f"projected SOR: residual {res:.3e} > tol {tol:.1e} after "
