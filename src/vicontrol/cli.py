@@ -3,10 +3,10 @@
 Subcommands: state, optimize, sweep-h, sweep-alpha, diagram, conjecture,
 interp-check.  Configuration is a flat ``key = value`` file plus ``--set``
 overrides; unknown keys are rejected.  Exit codes: 0 ok, 2 configuration
-error, 3 solver non-convergence, 4 acceptance-check failure in a sweep.
-Outputs are CSV files with a comment header carrying the configuration
-hash and preset name; identical configuration and seed reproduce outputs
-byte for byte.
+error, 3 solver non-convergence or out of memory, 4 acceptance-check
+failure in a sweep.  Outputs are CSV files with a comment header carrying
+the configuration hash and preset name; identical configuration and seed
+reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -526,6 +526,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (NonConvergenceError, LineSearchError, CrossCheckError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    except MemoryError:
+        print("solver failure: out of memory", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 
 

@@ -329,7 +329,10 @@ def check_open_problems(
     the H-norm margin ||u3||_H - ||u4||_H, and the convexity gap
     mu J(g1) + (1-mu) J(g2) - J(g3).  States are solved with ``solver`` to
     DEFAULT_TOL.  Negative margins are findings, not failures; witnesses carry
-    the inputs.  Asserts only the guaranteed feasibility u4 >= 0.
+    the inputs.  Asserts only the guaranteed feasibility u4 >= 0.  A trial
+    takes its nine forms (v, M_H v)_2 from one product of M_H with the
+    stacked vectors, and raises InvalidParameterError if a form or margin
+    overflows float64.
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
@@ -352,20 +355,22 @@ def check_open_problems(
                 f"state of the combined control dips below the obstacle at trial {k}",
                 residual=float(np.min(u4)),
             )
-
-        def sq(v):
-            return float(v @ (m_h @ v))
-
-        j1 = sum(_cost_terms(m_h, mcost, u1, g1))
-        j2 = sum(_cost_terms(m_h, mcost, u2, g2))
-        j3 = sum(_cost_terms(m_h, mcost, u4, g3))
-        gap = mu * j1 + (1.0 - mu) * j2 - j3
-        quad = 0.5 * mcost * mu * (1.0 - mu) * sq(g2 - g1)
-        state_quad = 0.5 * mu * (1.0 - mu) * sq(u2 - u1)
-        identity_residual = gap - quad - state_quad - 0.5 * (sq(u3) - sq(u4))
-
-        min_margin = float(np.min(u3 - u4))
-        h_margin = float(np.sqrt(max(sq(u3), 0.0)) - np.sqrt(max(sq(u4), 0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.array([u1, g1, u2, g2, u4, g3, g2 - g1, u2 - u1, u3])
+            # dots of contiguous rows: a strided dot sums in another order
+            forms = [float(v @ w) for v, w in zip(x, (m_h @ x.T).T.copy())]
+            su1, sg1, su2, sg2, su4, sg3, sdg, sdu, su3 = forms
+            j1, j2, j3 = (0.5 * su + 0.5 * mcost * sg
+                          for su, sg in ((su1, sg1), (su2, sg2), (su4, sg3)))
+            gap = mu * j1 + (1.0 - mu) * j2 - j3
+            quad = 0.5 * mcost * mu * (1.0 - mu) * sdg
+            state_quad = 0.5 * mu * (1.0 - mu) * sdu
+            identity_residual = gap - quad - state_quad - 0.5 * (su3 - su4)
+            min_margin = float(np.min(u3 - u4))
+            h_margin = float(np.sqrt(max(su3, 0.0)) - np.sqrt(max(su4, 0.0)))
+        if not np.isfinite([*forms, gap, identity_residual, min_margin, h_margin]).all():
+            raise InvalidParameterError(f"trial {k}: the H-norm forms or margins overflow "
+                                        f"float64; narrow g_low..g_high")
         rows.append(
             ConjectureTrial(k, mu, min_margin, h_margin, gap, identity_residual)
         )

@@ -152,7 +152,8 @@ class _Operator:
     ``shift`` is the load of the eliminated trace, A[free][:, pinned] @
     dirichlet_values; ``template`` is a full vector holding the pinned
     values; ``lu`` is the LU factor of a_ff on the nodes outside the last
-    active mask factored, whose bytes are ``key``.  Blocks are cut from ``csc``
+    active mask factored, whose bytes are ``key``; ``zero_bound``, that the
+    obstacle is 0 on every free node.  Blocks are cut from ``csc``
     or gathered dense from ``ell``, copies of a_ff made on first use, and
     PSOR sweeps ``psor_layout``, a_ff with each colour class contiguous
     (red-black by grid parity when p carries its division count).
@@ -169,6 +170,7 @@ class _Operator:
             self.template[p.dirichlet_nodes] = p.dirichlet_values
             self.shift = (a @ self.template)[self.free]
         self.lb_f, self.division_count = p.lower_bound[self.free], p.division_count
+        self.zero_bound = not self.lb_f.any()
         self.diag = self.a_ff.diagonal()
         self.bad_diagonal = bool(np.any(self.diag <= 0.0))
         data = (self.a_ff.data, self.template, self.shift)
@@ -456,7 +458,9 @@ def solve_active_set(
     The LU factor of the last contact set is kept on the problem's
     free-node reduction, so a solve of a problem made with
     :meth:`VIProblem.with_load` (e.g. during a line search) that starts
-    from that set, and :func:`adjoint_lift` on it, reuse it.
+    from that set, and :func:`adjoint_lift` on it, reuse it.  On a zero
+    obstacle a step makes one product with the free-node matrix, not two:
+    the bound of the active nodes adds no load A_IA l_A.
     """
     op = _checked_operator(p, tol)
     _, a_ff, f_f, lb_f = _free_split(p)
@@ -471,7 +475,9 @@ def solve_active_set(
         inactive = ~active
         u_f = lb_f.copy()
         if inactive.any():
-            rhs = (f_f - a_ff @ np.where(active, lb_f, 0.0))[inactive]
+            # a_ff @ 0 is +0.0 in every row, and f - (+0.0) is f, -0.0 included
+            rhs = f_f[inactive] if op.zero_bound else (
+                f_f - a_ff @ np.where(active, lb_f, 0.0))[inactive]
             u_f[inactive] = op.factor(active).solve(rhs)
         gap = u_f - lb_f  # 0 on active nodes
         lam = a_ff @ u_f - f_f

@@ -348,3 +348,52 @@ def reference_psor(p, tol=1e-10, max_iter=100_000):
     full = op.template.copy()
     full[free] = u_f
     return full, iters, res
+
+
+def reference_conjecture_trials(sys, data, trials, seed=0, family="robin",
+                                g_low=-30.0, g_high=10.0, solver="active_set"):
+    """The trials of ``control.check_open_problems`` with each H-form taken
+    by its own product: ``_cost_terms`` for J at (u1, g1), (u2, g2) and
+    (u4, g3), and ``sq`` for the six other forms, repeats included.
+
+    Draws the same controls and solves the same states, so a test can
+    require that function to give the same bytes.  Returns ``(trials,
+    witnesses)`` as its report holds them.
+    """
+    from vicontrol.control import (
+        CONJECTURE_TOL,
+        ConjectureTrial,
+        _combination_states,
+        _cost_terms,
+        _Evaluator,
+    )
+
+    rng = np.random.default_rng(seed)
+    ev = _Evaluator(sys, data, family, solver=solver)
+    m_h, mcost = sys.M_H, data.M_cost
+    rows, witnesses = [], []
+    for k in range(trials):
+        g1 = rng.uniform(g_low, g_high, sys.mesh.node_count)
+        g2 = rng.uniform(g_low, g_high, sys.mesh.node_count)
+        mu = float(rng.uniform(0.0, 1.0))
+        g3, u1, u2, u3, u4 = _combination_states(ev, g1, g2, mu)
+
+        def sq(v):
+            return float(v @ (m_h @ v))
+
+        j1 = sum(_cost_terms(m_h, mcost, u1, g1))
+        j2 = sum(_cost_terms(m_h, mcost, u2, g2))
+        j3 = sum(_cost_terms(m_h, mcost, u4, g3))
+        gap = mu * j1 + (1.0 - mu) * j2 - j3
+        quad = 0.5 * mcost * mu * (1.0 - mu) * sq(g2 - g1)
+        state_quad = 0.5 * mu * (1.0 - mu) * sq(u2 - u1)
+        identity_residual = gap - quad - state_quad - 0.5 * (sq(u3) - sq(u4))
+        min_margin = float(np.min(u3 - u4))
+        h_margin = float(np.sqrt(max(sq(u3), 0.0)) - np.sqrt(max(sq(u4), 0.0)))
+        rows.append(ConjectureTrial(k, mu, min_margin, h_margin, gap, identity_residual))
+        for kind, violated in (("pointwise", min_margin < -CONJECTURE_TOL),
+                               ("h_norm", h_margin < -CONJECTURE_TOL),
+                               ("convexity", gap < quad - CONJECTURE_TOL)):
+            if violated:
+                witnesses.append({"trial": k, "kind": kind, "mu": mu, "g1": g1, "g2": g2})
+    return tuple(rows), tuple(witnesses)

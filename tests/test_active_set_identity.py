@@ -126,3 +126,26 @@ def test_the_free_node_cut_of_random_pinned_nodes_is_fancy_indexed(seed, kind, n
     rng = np.random.default_rng(seed)
     p = _assembled(rng, n, "robin") if kind == "assembled" else _m_matrix(rng, 5 * n)
     _assert_the_cut_is_fancy_indexed(_pin(rng, p))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5])  # each case has contact: active values are -0.0
+@pytest.mark.parametrize("kind, family", [("assembled", "robin"),
+                                          ("assembled", "dirichlet_limit"),
+                                          ("m-matrix", None)])
+def test_a_negative_zero_obstacle_skips_the_bound_product_with_the_reference_bytes(
+        seed, kind, family, monkeypatch):
+    rng = np.random.default_rng(seed)
+    p = _assembled(rng, 6, family) if kind == "assembled" else _pin(rng, _m_matrix(rng, 30))
+    p = replace(p, lower_bound=np.full(p.size, -0.0))
+    op = p._operator
+    assert op.zero_bound
+    products = []
+    matmul = type(op.a_ff).__matmul__
+    with monkeypatch.context() as mp:
+        mp.setattr(type(op.a_ff), "__matmul__", lambda a, x: products.append(a) or matmul(a, x))
+        rep = solve_active_set(p)
+    assert len(products) == rep.iterations  # A u - F alone on each step
+    assert rep.active_set.size and np.signbit(rep.values()[rep.active_set]).all()
+    values, iterations, active, residual = reference_active_set(p)
+    assert (rep.values().tobytes(), rep.iterations, rep.active_set.tobytes(), rep.residual) == (
+        values.tobytes(), iterations, active.tobytes(), residual)

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from vicontrol import cli, vi_solver
 from vicontrol.assembly import ProblemData
 from vicontrol.cli import _build_parser, main
 from vicontrol.control import CONJECTURE_TOL
@@ -472,3 +475,29 @@ def test_every_option_parses_to_its_namespace_entry():
     assert vars(parser.parse_args(["state"])) == dict(
         command="state", config=None, set=[], out=None, preset="", dump_mesh=False,
         seed=None, cross_check=False)
+
+
+def test_overflowing_conjecture_forms_exit_2_writing_nothing(tmp_path, capsys):
+    # g of order 1e300 keeps the states finite, but (g, g)_H overflows float64
+    out = tmp_path / "run"
+    code = main(["conjecture", "--set", "g_low=-1e300", "--set", "g_high=1e300",
+                 "--set", "n=4", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not (out / "conjecture.csv").exists()
+
+
+@pytest.mark.parametrize("where", ["mesh", "lu"])
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, where):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    if where == "mesh":
+        monkeypatch.setattr(cli, "build_unit_square", no_memory)
+    else:  # n = 16 makes blocks above DENSE_MAX, which SuperLU factors
+        monkeypatch.setattr(vi_solver, "spla", SimpleNamespace(splu=no_memory))
+    code = main(["state", "--preset", "contact-v1", "--set", "n=16",
+                 "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert capsys.readouterr().err == "solver failure: out of memory\n"

@@ -15,9 +15,10 @@ from vicontrol.control import (
 )
 from vicontrol.errors import InvalidParameterError, LineSearchError
 from vicontrol.mesh import ScalarField, build_unit_square
+from vicontrol.presets import box_control
 from vicontrol.vi_solver import DIRICHLET_LIMIT, ROBIN, solve_state
 
-from oracles import cost_oracle
+from oracles import cost_oracle, reference_conjecture_trials
 
 
 def test_cost_of_quiet_data_is_half_measure():
@@ -297,8 +298,31 @@ def test_dense_factors_give_the_superlu_conjecture_trials(family, monkeypatch):
     np.testing.assert_allclose(dense, sparse, rtol=0.0, atol=1e-12)
 
 
+def _trial_bytes(trials, witnesses):
+    return (np.array([astuple(t) for t in trials]).tobytes(),
+            [(w["trial"], w["kind"], np.float64(w["mu"]).tobytes(), w["g1"].tobytes(),
+              w["g2"].tobytes()) for w in witnesses])
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+@pytest.mark.parametrize("n, alpha, trials, seed", [(2, 1000.0, 40, 1), (4, 2.0, 30, 3),
+                                                    (16, 2.0, 20, 7)])
+def test_one_product_per_trial_gives_the_reference_bytes(family, n, alpha, trials, seed):
+    # contact-v1 data; at n = 2, alpha = 1000 the Robin trials write witnesses
+    m = build_unit_square(n)
+    data = ProblemData(alpha=alpha, b=1.0, q=1.0, M_cost=1.0,
+                       g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
+    sys = assemble(m, data)
+    rep = check_open_problems(sys, data, trials=trials, seed=seed, family=family)
+    ref = reference_conjecture_trials(sys, data, trials, seed=seed, family=family)
+    assert _trial_bytes(rep.trials, rep.witnesses) == _trial_bytes(*ref)
+    if (n, family) == (2, ROBIN):
+        assert len(rep.witnesses) == 12
+
+
 @pytest.mark.parametrize("low, high", [(np.nan, 10.0), (-np.inf, 10.0), (-30.0, np.inf),
-                                       (5.0, 1.0), (-1e308, 1e308)])
+                                       (5.0, 1.0), (-1e308, 1e308),
+                                       (-1e300, 1e300)])  # a finite width, but (g, g)_H overflows
 def test_conjecture_rejects_a_bad_control_range(low, high):
     m = build_unit_square(2)
     data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
