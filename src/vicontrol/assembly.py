@@ -4,7 +4,9 @@ Builds the stiffness matrix for the Dirichlet form, the domain mass matrix
 for the L2 inner product, the boundary mass matrix supported on gamma1, and
 the boundary load vectors on gamma1/gamma2.  All element integrals are
 closed-form (no quadrature error for P1 data and edge-constant fluxes).
-Mass matrices are consistent, not lumped.
+Mass matrices are consistent, not lumped.  This module is the one home of
+scipy's private compiled CSR kernels (``scipy.sparse._sparsetools``): the
+symbolic pass of :func:`_scatter` and the solvers' products by :func:`_matvec`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from typing import Callable, Union
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import (coo_tocsr, csr_has_sorted_indices, csr_matvec,
+                                       csr_sort_indices)
 
 from .errors import AssemblyError, InvalidParameterError
 from .mesh import (_AREA_TOL, Mesh, ScalarField, _element_geometry, _nodal_field, _same_mesh,
@@ -97,18 +101,46 @@ def as_control_field(mesh: Mesh, g: ControlSpec) -> ScalarField:
     return constant_field(mesh, float(g))
 
 
+def _matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """a @ x for a CSR matrix a and a vector x, without scipy's operator
+    dispatch: the ``csr_matvec`` that ``@`` runs, into a fresh zero vector
+    of the same dtype, so the same bytes.  The solvers' per-sweep and
+    per-step products go through it.  Anything but a CSR matrix and a 1-D x
+    of a.shape[1] entries raises: the kernel would misread a 2-D x."""
+    m, n = a.shape
+    if a.format != "csr" or x.shape != (n,):
+        raise ValueError(f"_matvec takes a CSR matrix and a vector of {n} entries, "
+                         f"got {a.format} and shape {x.shape}")
+    out = np.zeros(m, np.promote_types(a.dtype, x.dtype))
+    csr_matvec(m, n, a.indptr, a.indices, a.data, x, out)
+    return out
+
+
 def _scatter(mesh: Mesh, cells: np.ndarray, *local: np.ndarray) -> list[sp.csr_matrix]:
     """Sum each array of local matrices of the cells (triangles or edges) into
     a global one, exactly symmetric as they are; sums of exactly 0.0 are not
-    stored.  The (row, col) arrays are built once, in the index dtype scipy
-    keeps, so no sum recasts them.  The pruned arrays are views of the
-    unpruned sum; the copy frees it."""
+    stored.  The (row, col) pattern is converted and sorted once, by the
+    kernels ``coo_matrix(...).tocsr()`` runs, with the entries' positions as
+    values: the sort compares column indices only, so its permutation does
+    not depend on the values.  Each matrix gathers its values by that
+    permutation (cast to intp after the pass, so ``take`` reads it fast and
+    the pass holds no more memory than one ``tocsr``) and scipy sums them, in
+    the order and with the bytes of ``tocsr``.  The pruned arrays are views
+    of the unpruned sum; the copy frees it."""
     n, k = mesh.node_count, cells.shape[1]
-    c = cells.astype(sp.get_index_dtype(maxval=max(cells.size * k, n)))
-    pairs = np.repeat(c, k, axis=1).ravel(), np.tile(c, k).ravel()
+    nnz = cells.size * k
+    idx = sp.get_index_dtype(maxval=max(nnz, n))
+    c = cells.astype(idx)
+    indptr, indices, perm = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz, idx)
+    coo_tocsr(n, n, nnz, np.repeat(c, k, axis=1).ravel(), np.tile(c, k).ravel(),
+              np.arange(nnz, dtype=idx), indptr, indices, perm)
+    if not csr_has_sorted_indices(n, indptr, indices):  # as tocsr: every row or none
+        csr_sort_indices(n, indptr, indices, perm)
+    perm = perm.astype(np.intp)
     out = []
     for vals in local:
-        a = sp.coo_matrix((vals.ravel(), pairs), shape=(n, n)).tocsr()
+        a = sp.csr_matrix((vals.ravel().take(perm), indices.copy(), indptr.copy()), shape=(n, n))
+        a.sum_duplicates()
         a.eliminate_zeros()
         out.append(a.copy())
     return out
@@ -239,7 +271,7 @@ def _values(v) -> np.ndarray:
 
 def norm_H(sys: AssembledSystem, v) -> float:
     x = _values(v)
-    return float(np.sqrt(max(x @ (sys.M_H @ x), 0.0)))
+    return float(np.sqrt(max(x @ _matvec(sys.M_H, x), 0.0)))
 
 
 def norm_V(sys: AssembledSystem, v) -> float:

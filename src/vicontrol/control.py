@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import AssembledSystem, ProblemData, as_control_field, norm_H
+from .assembly import AssembledSystem, ProblemData, _matvec, as_control_field, norm_H
 from .errors import InvalidParameterError, LineSearchError, NonConvergenceError
 from .mesh import ScalarField
 from .vi_solver import DEFAULT_TOL, ROBIN, VIReport, _solve, adjoint_lift, build_vi_problem
@@ -98,7 +98,7 @@ class ConjectureReport:
 
 def _cost_terms(m_h, m_cost: float, u: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     """The terms 1/2 ||u||_H^2 and (M/2) ||g||_H^2 of J, M_H = m_h."""
-    return 0.5 * float(u @ (m_h @ u)), 0.5 * m_cost * float(g @ (m_h @ g))
+    return 0.5 * float(u @ _matvec(m_h, u)), 0.5 * m_cost * float(g @ _matvec(m_h, g))
 
 
 class _Evaluator:
@@ -118,7 +118,7 @@ class _Evaluator:
         self.warm: np.ndarray | None = None
 
     def state(self, gvals: np.ndarray) -> VIReport:
-        problem = self.base.with_load(self.base.F + self.sys.M_H @ gvals)
+        problem = self.base.with_load(self.base.F + _matvec(self.sys.M_H, gvals))
         rep = _solve(problem, self.solver, self.tol, initial_active=self.warm)
         self.warm = rep.active_set
         return rep
@@ -137,7 +137,7 @@ class _Evaluator:
 
     def gradient(self, gvals: np.ndarray, rep: VIReport) -> np.ndarray:
         """Frozen-contact-set H-Riesz gradient M g + adjoint lift of u."""
-        w = adjoint_lift(self.base, rep.active_set, self.sys.M_H @ rep.values())
+        w = adjoint_lift(self.base, rep.active_set, _matvec(self.sys.M_H, rep.values()))
         return self.data.M_cost * gvals + w
 
 
@@ -187,7 +187,7 @@ def _proj_grad(ev: _Evaluator, g: np.ndarray, tol: float, max_iter: int) -> Opti
         if gnorm <= tol:
             return _opt_report(ev, g, report, it - 1, gnorm, "proj_grad_adjoint", history)
         d = _newton_step(ev, report.state, grad, CG_FORCING * tol)
-        slope = float(grad @ (ev.sys.M_H @ d))  # < 0: a CG iterate from zero descends
+        slope = float(grad @ _matvec(ev.sys.M_H, d))  # < 0: a CG iterate from zero descends
         step = INITIAL_STEP
         accepted = None
         for _ in range(MAX_BACKTRACKS):
@@ -226,19 +226,19 @@ def _newton_step(ev: _Evaluator, state: VIReport, grad: np.ndarray, atol: float)
     m_h, active = ev.sys.M_H, state.active_set
 
     def hess(v):
-        w = adjoint_lift(ev.base, active, m_h @ v)
-        return ev.data.M_cost * v + adjoint_lift(ev.base, active, m_h @ w)
+        w = adjoint_lift(ev.base, active, _matvec(m_h, v))
+        return ev.data.M_cost * v + adjoint_lift(ev.base, active, _matvec(m_h, w))
 
     d, r = np.zeros_like(grad), -grad
-    p, rr = r, float(r @ (m_h @ r))
+    p, rr = r, float(r @ _matvec(m_h, r))
     for _ in range(CG_MAX_ITER):
         if not np.sqrt(rr) > atol:
             break
         hp = hess(p)
-        step = rr / float(p @ (m_h @ hp))
+        step = rr / float(p @ _matvec(m_h, hp))
         d = d + step * p
         r = r - step * hp
-        rr, rr_old = float(r @ (m_h @ r)), rr
+        rr, rr_old = float(r @ _matvec(m_h, r)), rr
         p = r + (rr / rr_old) * p
     return d
 

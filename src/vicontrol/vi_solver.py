@@ -53,6 +53,7 @@ from .assembly import (
     AssembledSystem,
     ProblemData,
     _gamma2_flux_load,
+    _matvec,
     as_control_field,
     load_vector,
     robin_matrix,
@@ -426,7 +427,7 @@ def solve_psor(
         iters += 1
         u_old = u_p.copy()
         for u_c, a_c, f_c, d_c, lb_c in blocks:  # max(l, u + omega ((f - A u) / d)), in place
-            t = a_c @ u_p
+            t = _matvec(a_c, u_p)
             np.subtract(f_c, t, out=t)
             t /= d_c
             t *= omega
@@ -437,7 +438,7 @@ def solve_psor(
         est = step * rho / (1.0 - rho) if rho < 1.0 else np.inf
         if est <= tol or not step < np.inf or iters == max_iter:  # else res cannot stop it
             u_f[perm] = u_p  # so u_f is current after the last sweep
-            res = _complementarity(u_f - lb_f, a_ff @ u_f - f_f)
+            res = _complementarity(u_f - lb_f, _matvec(a_ff, u_f) - f_f)
     if not res <= tol:
         raise NonConvergenceError(f"projected SOR: residual {res:.3e} > tol {tol:.1e} after "
                                   f"{iters} sweeps", residual=res)
@@ -477,10 +478,10 @@ def solve_active_set(
         if inactive.any():
             # a_ff @ 0 is +0.0 in every row, and f - (+0.0) is f, -0.0 included
             rhs = f_f[inactive] if op.zero_bound else (
-                f_f - a_ff @ np.where(active, lb_f, 0.0))[inactive]
+                f_f - _matvec(a_ff, np.where(active, lb_f, 0.0)))[inactive]
             u_f[inactive] = op.factor(active).solve(rhs)
         gap = u_f - lb_f  # 0 on active nodes
-        lam = a_ff @ u_f - f_f
+        lam = _matvec(a_ff, u_f) - f_f
         res = _complementarity(gap, lam)
         feasible = gap.min(initial=0.0) >= -FEASIBILITY_TOL
         if res <= tol and feasible:
@@ -599,8 +600,8 @@ def _coarse_contact(p: VIProblem, tol: float) -> np.ndarray | None:
     free, a_ff, f_f, lb_f = _free_split(p)
     u_f = np.maximum(lb_f, (P @ u_c.values())[free])
     for _ in range(SMOOTH_SWEEPS):
-        u_f = np.maximum(lb_f, u_f + JACOBI_OMEGA * (f_f - a_ff @ u_f) / p._operator.diag)
-    return free[a_ff @ u_f - f_f > u_f - lb_f]
+        u_f = np.maximum(lb_f, u_f + JACOBI_OMEGA * (f_f - _matvec(a_ff, u_f)) / p._operator.diag)
+    return free[_matvec(a_ff, u_f) - f_f > u_f - lb_f]
 
 
 SOLVERS = ("active_set", "psor")
