@@ -269,19 +269,25 @@ def _values(v) -> np.ndarray:
     return v.values if isinstance(v, ScalarField) else np.asarray(v, dtype=float)
 
 
+def _form(a: sp.csr_matrix, x: np.ndarray) -> float:
+    """(x, a x)_2; inf or nan, without a warning, where it overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(x @ _matvec(a, x))
+
+
 def norm_H(sys: AssembledSystem, v) -> float:
     x = _values(v)
-    return float(np.sqrt(max(x @ _matvec(sys.M_H, x), 0.0)))
+    return float(np.sqrt(max(_form(sys.M_H, x), 0.0)))
 
 
 def norm_V(sys: AssembledSystem, v) -> float:
     x = _values(v)
-    return float(np.sqrt(max(x @ (sys.K @ x) + x @ (sys.M_H @ x), 0.0)))
+    return float(np.sqrt(max(_form(sys.K, x) + _form(sys.M_H, x), 0.0)))
 
 
 def norm_R(sys: AssembledSystem, v) -> float:
     x = _values(v)
-    return float(np.sqrt(max(x @ (sys.M_R @ x), 0.0)))
+    return float(np.sqrt(max(_form(sys.M_R, x), 0.0)))
 
 
 def norms(sys: AssembledSystem, v) -> dict[str, float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import AssembledSystem, ProblemData, _matvec, as_control_field, norm_H
+from .assembly import AssembledSystem, ProblemData, _form, _matvec, as_control_field, norm_H
 from .errors import InvalidParameterError, LineSearchError, NonConvergenceError
 from .mesh import ScalarField
 from .vi_solver import DEFAULT_TOL, ROBIN, VIReport, _solve, adjoint_lift, build_vi_problem
@@ -97,8 +97,9 @@ class ConjectureReport:
 
 
 def _cost_terms(m_h, m_cost: float, u: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """The terms 1/2 ||u||_H^2 and (M/2) ||g||_H^2 of J, M_H = m_h."""
-    return 0.5 * float(u @ _matvec(m_h, u)), 0.5 * m_cost * float(g @ _matvec(m_h, g))
+    """The terms 1/2 ||u||_H^2 and (M/2) ||g||_H^2 of J, M_H = m_h; inf or
+    nan, without a warning, where a form overflows float64."""
+    return 0.5 * _form(m_h, u), 0.5 * m_cost * _form(m_h, g)
 
 
 class _Evaluator:
@@ -164,21 +165,25 @@ def optimize(
     to tol.  ``coord_search`` is a derivative-free compass
     search over the nodal basis (first improvement, lexicographic node
     order) that stops once its step falls below tol; intended as an oracle
-    on small meshes.
+    on small meshes.  A zero control whose cost overflows float64 raises
+    InvalidParameterError before any step.
     """
     if data.M_cost <= 0:
         raise InvalidParameterError("optimization requires M_cost > 0")
+    steps = {"proj_grad_adjoint": _proj_grad, "coord_search": _coord_search}
+    if method not in steps:
+        raise InvalidParameterError(f"unknown method {method!r}")
     ev = _Evaluator(sys, data, family, solver=solver, tol=OPT_STATE_TOL)
     g = np.zeros(sys.mesh.node_count)
-    if method == "proj_grad_adjoint":
-        return _proj_grad(ev, g, tol, max_iter)
-    if method == "coord_search":
-        return _coord_search(ev, g, tol, max_iter)
-    raise InvalidParameterError(f"unknown method {method!r}")
-
-
-def _proj_grad(ev: _Evaluator, g: np.ndarray, tol: float, max_iter: int) -> OptimizeReport:
     report = ev.cost(g)
+    if not np.isfinite(report.value):
+        raise InvalidParameterError(f"the cost of the zero control, {report.value}, overflows "
+                                    f"float64; scale down the data")
+    return steps[method](ev, g, report, tol, max_iter)
+
+
+def _proj_grad(ev: _Evaluator, g: np.ndarray, report: CostReport, tol: float,
+               max_iter: int) -> OptimizeReport:
     history = [report.value]
     gnorm = np.inf
     for it in range(1, max_iter + 1):
@@ -230,7 +235,7 @@ def _newton_step(ev: _Evaluator, state: VIReport, grad: np.ndarray, atol: float)
         return ev.data.M_cost * v + adjoint_lift(ev.base, active, _matvec(m_h, w))
 
     d, r = np.zeros_like(grad), -grad
-    p, rr = r, float(r @ _matvec(m_h, r))
+    p, rr = r, _form(m_h, r)
     for _ in range(CG_MAX_ITER):
         if not np.sqrt(rr) > atol:
             break
@@ -238,13 +243,13 @@ def _newton_step(ev: _Evaluator, state: VIReport, grad: np.ndarray, atol: float)
         step = rr / float(p @ _matvec(m_h, hp))
         d = d + step * p
         r = r - step * hp
-        rr, rr_old = float(r @ _matvec(m_h, r)), rr
+        rr, rr_old = _form(m_h, r), rr
         p = r + (rr / rr_old) * p
     return d
 
 
-def _coord_search(ev: _Evaluator, g: np.ndarray, tol: float, max_iter: int) -> OptimizeReport:
-    report = ev.cost(g)
+def _coord_search(ev: _Evaluator, g: np.ndarray, report: CostReport, tol: float,
+                  max_iter: int) -> OptimizeReport:
     history = [report.value]
     step = INITIAL_STEP
     evaluations = 0

@@ -21,6 +21,10 @@ interpolation error enters the tables.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys as _sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -29,12 +33,14 @@ import numpy as np
 from .assembly import ProblemData, as_control_field, assemble, norm_H, norm_R, norm_V
 from .control import OptimizeReport, _cost_terms, optimize
 from .errors import InsufficientDataError, InvalidParameterError
-from .mesh import Mesh, ScalarField, _element_geometry, build_unit_square, interpolate, prolongate
+from .mesh import (Mesh, ScalarField, _element_geometry, _nesting_ratio, build_unit_square,
+                   interpolate, prolongate)
 from .vi_solver import DEFAULT_TOL, DIRICHLET_LIMIT, ROBIN, solve_state
 
 ZERO_NOTE = "zero errors excluded from fit"
 FIT_GUARD_FACTOR = 100.0  # only fit levels with error >= factor * solver tol
 MONOTONE_FLOOR = 1e-10
+POINT_COST = 400  # a lattice point's work beyond its (n + 1)^2 nodes, in nodes
 
 # Degree-5 quadrature on the reference triangle (7 points), used only to
 # measure interpolation errors of user-supplied smooth functions.
@@ -297,6 +303,56 @@ class DiagramReport:
         return self.d1_ok and self.d2_ok and self.d3_ok
 
 
+def _split(points) -> int:
+    """The index m that cuts the points into the prefix ``points[:m]`` and
+    the suffix of most nearly equal estimated work."""
+    work = np.cumsum([(n + 1) ** 2 + POINT_COST for n, _ in points])
+    return int(np.argmin(np.maximum(work, work[-1] - work))) + 1
+
+
+def _solve_forked(session: StudySession, points, solve) -> dict:
+    """``solve`` over the points: the prefix here, the suffix in a forked
+    child that pickles its reports (or its exception) into a pipe.  A
+    failure here comes before every point of the child's, which is then
+    stopped, and one there after every point here, so a failing diagram
+    waits for no work that serial order would not do before its first
+    failure.  If the child's result does not arrive whole, its points are
+    solved here."""
+    m = _split(points)
+    _sys.stdout.flush()
+    _sys.stderr.flush()
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child leaves by os._exit on every path, 0 once all is written
+        try:
+            os.close(r)
+            payload = pickle.dumps({p: rep if isinstance(rep, Exception) else replace(
+                rep, g_opt=rep.g_opt.values) for p, rep in solve(points[m:]).items()})
+            with open(w, "wb") as pipe:
+                pipe.write(payload)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            results = solve(points[:m])
+            if any(isinstance(rep, Exception) for rep in results.values()):
+                return results  # the first failure in serial order: the child is not needed
+            payload = pipe.read()
+    finally:  # the child has written all it will, or its work is not needed
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    try:
+        shipped = pickle.loads(payload)
+    except Exception:  # killed, out of memory or unpicklable: no whole result
+        return {**results, **solve(points[m:])}
+    for (n, alpha), rep in shipped.items():  # each control back on this process's mesh
+        results[n, alpha] = rep if isinstance(rep, Exception) else replace(
+            rep, g_opt=ScalarField(session.grid(n).mesh, rep.g_opt))
+    return results
+
+
 def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
             opt_max_iter: int = 2000) -> DiagramReport:
     """Optimal-control lattice with its three convergence distances.
@@ -305,24 +361,46 @@ def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
     its states to ``control.OPT_STATE_TOL``, so ``session.tol`` is not read.
     The surrogate corners live on a mesh four times finer than the finest
     measured level (two extra refinements).  Lattice points are solved
-    independently and cached by (n, alpha), so shared corners reuse
-    identical results.
+    independently, each once, so shared corners reuse identical results.
+    When the CPU affinity mask holds two CPUs or more, one forked child
+    solves the later points, about half the work; outputs and errors do
+    not depend on it (the first failing point in serial order raises),
+    and there is no option.
     """
     levels = sorted(int(n) for n in levels)
     alphas = sorted(float(a) for a in alphas)
     if len(levels) < 2 or len(alphas) < 2:
         raise InvalidParameterError("diagram needs at least 2 levels and 2 alphas")
     n_ref = 4 * levels[-1]
-    results: dict = {}
-
-    def opt(n, alpha) -> OptimizeReport:
-        if (n, alpha) not in results:
-            sys, data, family = session.point(n, alpha)
-            results[n, alpha] = optimize(sys, data, family=family, tol=opt_tol,
-                                         max_iter=opt_max_iter, solver=session.solver)
-        return results[n, alpha]
-
     sys_ref = session.grid(n_ref)
+    points = []  # in the serial order of first use; every grid is assembled here
+    for n in levels:
+        points += [(n, None)] + [p for a in alphas for p in ((n, a), (n_ref, a))]
+    points += [(n_ref, None)] + [(n, 1.0 / session.grid(n).mesh.h) for n in levels]
+    points = list(dict.fromkeys(points))
+    for n in levels:
+        _nesting_ratio(n, n_ref)
+
+    def solve(share) -> dict:
+        """The report of each point of the share, in order, up to the first
+        point that raises; that point maps to its exception."""
+        results = {}
+        for n, alpha in share:
+            sys_n, data, family = session.point(n, alpha)
+            try:
+                results[n, alpha] = optimize(sys_n, data, family=family, tol=opt_tol,
+                                             max_iter=opt_max_iter, solver=session.solver)
+            except Exception as exc:  # raised below, in serial order
+                results[n, alpha] = exc
+                break
+        return results
+
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    results = (_solve_forked(session, points, solve) if hasattr(os, "fork") and len(cpus) >= 2
+               else solve(points))
+    for p in points:
+        if isinstance(results[p], Exception):
+            raise results[p]
 
     def dist_on_ref(rep, rep_ref):
         diff = prolongate(rep.g_opt, sys_ref.mesh).values - rep_ref.g_opt.values
@@ -331,20 +409,20 @@ def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
     rows = []
     for n in levels:
         sys_n = session.grid(n)
-        rep_dir = opt(n, None)
+        rep_dir = results[n, None]
         for a in alphas:
-            rep = opt(n, a)
-            d1 = dist_on_ref(rep, opt(n_ref, a))
+            rep = results[n, a]
+            d1 = dist_on_ref(rep, results[n_ref, a])
             d2 = norm_H(sys_n, rep.g_opt.values - rep_dir.g_opt.values)
             rows.append(DiagramRow(n, sys_n.mesh.h, a, rep.J_opt,
                                    norm_H(sys_n, rep.g_opt), d1, d2, math.nan))
 
-    corner = opt(n_ref, None)  # joint surrogate corner
+    corner = results[n_ref, None]  # joint surrogate corner
     d3_seq = []
     for n in levels:
         sys_n = session.grid(n)
         a_diag = 1.0 / sys_n.mesh.h
-        rep = opt(n, a_diag)
+        rep = results[n, a_diag]
         d3 = dist_on_ref(rep, corner)
         d3_seq.append(d3)
         rows.append(DiagramRow(n, sys_n.mesh.h, a_diag, rep.J_opt,

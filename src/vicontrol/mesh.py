@@ -265,11 +265,16 @@ def prolongate(field: ScalarField, fine: Mesh) -> ScalarField:
     nc, nf = field.mesh.division_count, fine.division_count
     if nc is None or nf is None:
         raise InvalidParameterError("prolongation requires structured meshes")
+    return ScalarField(fine, _prolongation(nc, _nesting_ratio(nc, nf)) @ field.values)
+
+
+def _nesting_ratio(nc: int, nf: int) -> int:
+    """nf / nc, which must be a whole number >= 1 for the grids to nest."""
     if nf % nc != 0 or nf < nc:
         raise InvalidParameterError(
             f"fine divisions {nf} must be a multiple of coarse divisions {nc}"
         )
-    return ScalarField(fine, _prolongation(nc, nf // nc) @ field.values)
+    return nf // nc
 
 
 @lru_cache(maxsize=16)

@@ -501,3 +501,37 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, where):
                  "--out", str(tmp_path / "run")])
     assert code == 3
     assert capsys.readouterr().err == "solver failure: out of memory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--set", "n=4", "--set", "b=1e300"),
+    ("optimize", "--set", "n=4", "--set", "b=1e300", "--set", "opt_method=coord_search"),
+    ("diagram", "--set", "diagram_levels=2,4", "--set", "diagram_alphas=2,4", "--set", "b=1e200"),
+    ("sweep-h", "--set", "b=1e300"),
+    ("sweep-alpha", "--set", "n=4", "--set", "alphas=2,4", "--set", "b=1e300"),
+])
+def test_a_cost_or_norm_that_overflows_exits_2_without_a_warning(tmp_path, capsys, argv):
+    # the H- and V-norm forms of a state of order 1e300 overflow float64; pytest
+    # turns a RuntimeWarning into an error, as `-W error::RuntimeWarning` does
+    code = main([*argv, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_the_zero_control_cost_overflow_names_the_cost(tmp_path, capsys):
+    code = main(["optimize", "--set", "n=4", "--set", "b=1e300", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == ("configuration error: the cost of the zero control, inf, "
+                                       "overflows float64; scale down the data\n")
+
+
+def test_non_nested_diagram_levels_exit_2_before_any_optimization(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.convergence, "optimize", lambda *a, **kw: calls.append(a))
+    code = main(["diagram", "--set", "diagram_levels=3,4", "--set", "diagram_alphas=2,4",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == ("configuration error: fine divisions 16 must be a "
+                                       "multiple of coarse divisions 3\n")
+    assert calls == []

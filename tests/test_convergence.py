@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,8 @@ def test_an_h_sweep_refuses_alpha_none(sweep):
 
 
 def test_a_diagram_after_a_sweep_reuses_the_session_grids(monkeypatch):
+    # one CPU keeps every solve in this process, where the ids below are comparable
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     session = StudySession(quiet_data())
     h_sweep_state(session, 2.0, [2, 4, 8, 16])
     grids = dict(session._grid)
@@ -219,3 +223,22 @@ def test_a_diagram_after_a_sweep_reuses_the_session_grids(monkeypatch):
     diagram(session, [2, 8], [2.0, 4.0], opt_tol=1e-3)
     assert session._grid.keys() == grids.keys()
     assert {id(sys) for sys in seen} == {id(grids[n]) for n in (2, 8, 32)}
+
+
+def test_a_forked_diagram_after_a_sweep_reuses_the_session_grids(monkeypatch):
+    # a child that built a grid would call None and ship the TypeError back
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    session = StudySession(quiet_data())
+    h_sweep_state(session, 2.0, [2, 4, 8, 16])
+    grids = dict(session._grid)
+    seen = []
+
+    def recording_optimize(sys, data, **kw):
+        seen.append(sys)
+        return optimize(sys, data, **kw)
+
+    monkeypatch.setattr(convergence, "optimize", recording_optimize)
+    monkeypatch.setattr(convergence, "build_unit_square", None)  # no new grid may be built
+    diagram(session, [2, 8], [2.0, 4.0], opt_tol=1e-3)
+    assert session._grid.keys() == grids.keys()
+    assert seen and {id(sys) for sys in seen} <= {id(grids[n]) for n in (2, 8, 32)}
