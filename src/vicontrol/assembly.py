@@ -31,6 +31,7 @@ FluxSpec = Union[float, dict, Callable[[float, float], float]]
 
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 _EDGE_TEMPLATE = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+DOT_RUN = 8192  # entries of one BLAS dot product in _dot; OpenBLAS threads it above 10 000
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,17 @@ def _matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     out = np.zeros(m, np.promote_types(a.dtype, x.dtype))
     csr_matvec(m, n, a.indptr, a.indices, a.data, x, out)
     return out
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x @ y for two vectors, with the same bits on any number of BLAS
+    threads.  OpenBLAS sums a long ddot in per-thread parts, so its bits
+    depend on how many CPUs it sees; up to ``DOT_RUN`` entries this is one
+    ``x @ y``, and longer vectors sum the ``@`` of their runs of ``DOT_RUN``
+    entries in order, each run short enough for one thread."""
+    if x.size <= DOT_RUN:
+        return float(x @ y)
+    return float(sum(x[i:i + DOT_RUN] @ y[i:i + DOT_RUN] for i in range(0, x.size, DOT_RUN)))
 
 
 def _scatter(mesh: Mesh, cells: np.ndarray, *local: np.ndarray) -> list[sp.csr_matrix]:
@@ -272,7 +284,7 @@ def _values(v) -> np.ndarray:
 def _form(a: sp.csr_matrix, x: np.ndarray) -> float:
     """(x, a x)_2; inf or nan, without a warning, where it overflows float64."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(x @ _matvec(a, x))
+        return _dot(x, _matvec(a, x))
 
 
 def norm_H(sys: AssembledSystem, v) -> float:

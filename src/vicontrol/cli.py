@@ -341,11 +341,11 @@ def _sweep_summary(cfg: RunConfig, lines: list[str], checks: list[tuple[str, boo
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_CHECK_FAILED
 
 
-def _order_check(table: convergence.RateTable, floor: float, zero_level: bool):
+def _order_check(table: convergence.RateTable, floor: float):
     """Pass when the fitted order clears the floor.  Zero-level tables, whose
     errors all sit below the solver-tolerance guard, have nothing to fit and
     pass."""
-    if zero_level:
+    if table.zero_level:
         return True, "all errors at the solver-tolerance floor"
     if table.fitted_order is None:
         return False, table.note
@@ -369,9 +369,8 @@ def cmd_sweep_h(cfg: RunConfig) -> int:
     lines = []
     for name, tab in (("state", state_tab), ("cost", cost_tab)):
         errs = tab.errors()
-        zero = bool(np.all(errs < session.fit_floor))
-        ok_order, detail = _order_check(tab, ORDER_FLOOR, zero)
-        decreasing = zero or convergence.strictly_decreasing(errs)
+        ok_order, detail = _order_check(tab, ORDER_FLOOR)
+        decreasing = tab.zero_level or convergence.strictly_decreasing(errs)
         lines.append(f"{name} errors: {', '.join(_fmt(e) for e in errs)}")
         lines.append(f"{name} fit: {detail}")
         if tab.note:
@@ -389,16 +388,14 @@ def cmd_sweep_alpha(cfg: RunConfig) -> int:
     _write_rate_csv(cfg, "rate_alpha_v.csv", tables["V"])
 
     r_tab, v_tab = tables["R"], tables["V"]
-    r_errs, v_errs = r_tab.errors(), v_tab.errors()
-    guard = session.fit_floor
-    zero = bool(np.all(r_errs < guard) and np.all(v_errs < guard))
-    if zero:
+    v_errs = v_tab.errors()
+    if r_tab.zero_level and v_tab.zero_level:
         checks = [("trace slope (zero-level errors)", True), ("V errors monotone", True)]
         lines = ["all errors at the solver-tolerance floor; "
                  "zero errors excluded from fit"]
     else:
         slope_ok = r_tab.fitted_order is not None and r_tab.fitted_order <= ALPHA_SLOPE_CEILING
-        v_ok = convergence.monotone_nonincreasing(v_errs[v_errs >= guard])
+        v_ok = convergence.monotone_nonincreasing(v_errs[v_errs >= v_tab.guard])
         lines = [
             f"trace slope vs (alpha-1): "
             f"{'n/a' if r_tab.fitted_order is None else f'{r_tab.fitted_order:.3f}'}",

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import AssembledSystem, ProblemData, _form, _matvec, as_control_field, norm_H
+from .assembly import (AssembledSystem, ProblemData, _dot, _form, _matvec, as_control_field,
+                       norm_H)
 from .errors import InvalidParameterError, LineSearchError, NonConvergenceError
 from .mesh import ScalarField
 from .vi_solver import DEFAULT_TOL, ROBIN, VIReport, _solve, adjoint_lift, build_vi_problem
@@ -192,7 +193,7 @@ def _proj_grad(ev: _Evaluator, g: np.ndarray, report: CostReport, tol: float,
         if gnorm <= tol:
             return _opt_report(ev, g, report, it - 1, gnorm, "proj_grad_adjoint", history)
         d = _newton_step(ev, report.state, grad, CG_FORCING * tol)
-        slope = float(grad @ _matvec(ev.sys.M_H, d))  # < 0: a CG iterate from zero descends
+        slope = _dot(grad, _matvec(ev.sys.M_H, d))  # < 0: a CG iterate from zero descends
         step = INITIAL_STEP
         accepted = None
         for _ in range(MAX_BACKTRACKS):
@@ -240,7 +241,7 @@ def _newton_step(ev: _Evaluator, state: VIReport, grad: np.ndarray, atol: float)
         if not np.sqrt(rr) > atol:
             break
         hp = hess(p)
-        step = rr / float(p @ _matvec(m_h, hp))
+        step = rr / _dot(p, _matvec(m_h, hp))
         d = d + step * p
         r = r - step * hp
         rr, rr_old = _form(m_h, r), rr
@@ -363,7 +364,7 @@ def check_open_problems(
         with np.errstate(over="ignore", invalid="ignore"):
             x = np.array([u1, g1, u2, g2, u4, g3, g2 - g1, u2 - u1, u3])
             # dots of contiguous rows: a strided dot sums in another order
-            forms = [float(v @ w) for v, w in zip(x, (m_h @ x.T).T.copy())]
+            forms = [_dot(v, w) for v, w in zip(x, (m_h @ x.T).T.copy())]
             su1, sg1, su2, sg2, su4, sg3, sdg, sdu, su3 = forms
             j1, j2, j3 = (0.5 * su + 0.5 * mcost * sg
                           for su, sg in ((su1, sg1), (su2, sg2), (su4, sg3)))

@@ -100,6 +100,11 @@ class RateTable:
         return fit_order(usable) if len(usable) >= 3 else None
 
     @property
+    def zero_level(self) -> bool:
+        """Every error sits below ``guard``: there is nothing to fit or order."""
+        return bool(np.all(self.errors() < self.guard))
+
+    @property
     def note(self) -> str:
         if len(self._usable()) < len(self.rows):
             return ZERO_NOTE
@@ -194,16 +199,14 @@ def _check_levels(levels):
     return levels
 
 
-def _h_sweep(session: StudySession, alpha, levels, tag, reference, measure):
-    """Rows (h, error, tag) over the levels at the Robin alpha; ``measure(n_ref)``
-    takes the reference on the n_ref = 2 * finest grid and returns the error
-    of a level."""
+def _h_sweep(session: StudySession, alpha, levels, tag, reference, error):
+    """Rows (h, error(n, n_ref), tag) over the levels at the Robin alpha, each
+    level n measured against the reference on the n_ref = 2 * finest grid."""
     levels = _check_levels(levels)
     if alpha is None:
         raise InvalidParameterError("an h sweep needs a Robin alpha, got None")
     n_ref = 2 * levels[-1]
-    error = measure(n_ref)
-    rows = [(session.grid(n).mesh.h, error(n), tag) for n in levels]
+    rows = [(session.grid(n).mesh.h, error(n, n_ref), tag) for n in levels]
     return RateTable("h", tuple(rows), reference.format(n_ref), session.fit_floor)
 
 
@@ -215,26 +218,22 @@ def h_sweep_state(session: StudySession, alpha: float, levels) -> RateTable:
     norms on the reference mesh.
     """
 
-    def measure(n_ref):
-        sys_ref = session.grid(n_ref)
-        u_ref = session.state(n_ref, alpha).values
-        return lambda n: norm_V(
-            sys_ref, prolongate(session.state(n, alpha), sys_ref.mesh).values - u_ref)
+    def error(n, n_ref):
+        sys_ref, u_ref = session.grid(n_ref), session.state(n_ref, alpha).values
+        return norm_V(sys_ref, prolongate(session.state(n, alpha), sys_ref.mesh).values - u_ref)
 
     return _h_sweep(session, alpha, levels, "V",
                     "surrogate_reference: robin state on n={} grid (one refinement "
-                    "beyond the finest measured level)", measure)
+                    "beyond the finest measured level)", error)
 
 
 def h_sweep_cost(session: StudySession, alpha: float, levels) -> RateTable:
     """Cost gap |J_h(g) - J_ref(g)| under mesh refinement at fixed alpha."""
 
-    def measure(n_ref):
-        j_ref = session.cost_value(n_ref, alpha)
-        return lambda n: abs(session.cost_value(n, alpha) - j_ref)
+    def error(n, n_ref):
+        return abs(session.cost_value(n_ref, alpha) - session.cost_value(n, alpha))
 
-    return _h_sweep(session, alpha, levels, "J",
-                    "surrogate_reference: cost at n={} grid", measure)
+    return _h_sweep(session, alpha, levels, "J", "surrogate_reference: cost at n={} grid", error)
 
 
 def alpha_sweep_state(session: StudySession, n: int, alphas) -> dict[str, RateTable]:
@@ -312,12 +311,12 @@ def _split(points) -> int:
 
 def _solve_forked(session: StudySession, points, solve) -> dict:
     """``solve`` over the points: the prefix here, the suffix in a forked
-    child that pickles its reports (or its exception) into a pipe.  A
-    failure here comes before every point of the child's, which is then
-    stopped, and one there after every point here, so a failing diagram
-    waits for no work that serial order would not do before its first
-    failure.  If the child's result does not arrive whole, its points are
-    solved here."""
+    child that pickles one object into a pipe, its reports (each control as
+    its value array) or the exception that stopped it.  A failure here comes
+    before every point of the child's, which is then stopped, and the
+    child's is raised after every point here, so a failing diagram waits for
+    no work that serial order would not do before its first failure.  If
+    the child's object does not arrive whole, its points are solved here."""
     m = _split(points)
     _sys.stdout.flush()
     _sys.stderr.flush()
@@ -326,8 +325,12 @@ def _solve_forked(session: StudySession, points, solve) -> dict:
     if pid == 0:  # the child leaves by os._exit on every path, 0 once all is written
         try:
             os.close(r)
-            payload = pickle.dumps({p: rep if isinstance(rep, Exception) else replace(
-                rep, g_opt=rep.g_opt.values) for p, rep in solve(points[m:]).items()})
+            try:
+                shipped = {p: replace(rep, g_opt=rep.g_opt.values)
+                           for p, rep in solve(points[m:]).items()}
+            except Exception as exc:  # raised by the parent, after its own points
+                shipped = exc
+            payload = pickle.dumps(shipped)
             with open(w, "wb") as pipe:
                 pipe.write(payload)
             os._exit(0)
@@ -337,8 +340,6 @@ def _solve_forked(session: StudySession, points, solve) -> dict:
     try:
         with open(r, "rb") as pipe:
             results = solve(points[:m])
-            if any(isinstance(rep, Exception) for rep in results.values()):
-                return results  # the first failure in serial order: the child is not needed
             payload = pipe.read()
     finally:  # the child has written all it will, or its work is not needed
         os.kill(pid, signal.SIGKILL)
@@ -347,9 +348,10 @@ def _solve_forked(session: StudySession, points, solve) -> dict:
         shipped = pickle.loads(payload)
     except Exception:  # killed, out of memory or unpicklable: no whole result
         return {**results, **solve(points[m:])}
+    if isinstance(shipped, Exception):
+        raise shipped
     for (n, alpha), rep in shipped.items():  # each control back on this process's mesh
-        results[n, alpha] = rep if isinstance(rep, Exception) else replace(
-            rep, g_opt=ScalarField(session.grid(n).mesh, rep.g_opt))
+        results[n, alpha] = replace(rep, g_opt=ScalarField(session.grid(n).mesh, rep.g_opt))
     return results
 
 
@@ -359,6 +361,7 @@ def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
 
     The session supplies data, gamma1, solver and grids; the optimizer solves
     its states to ``control.OPT_STATE_TOL``, so ``session.tol`` is not read.
+    Levels and alphas are taken in increasing order and may not repeat.
     The surrogate corners live on a mesh four times finer than the finest
     measured level (two extra refinements).  Lattice points are solved
     independently, each once, so shared corners reuse identical results.
@@ -371,67 +374,49 @@ def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
     alphas = sorted(float(a) for a in alphas)
     if len(levels) < 2 or len(alphas) < 2:
         raise InvalidParameterError("diagram needs at least 2 levels and 2 alphas")
+    if any(a == b for v in (levels, alphas) for a, b in zip(v, v[1:])):
+        raise InvalidParameterError("diagram levels and alphas must not repeat a value")
     n_ref = 4 * levels[-1]
-    sys_ref = session.grid(n_ref)
-    points = []  # in the serial order of first use; every grid is assembled here
+    session.grid(n_ref)  # every grid is assembled here, before any solve or fork
+    diagonal = {}  # level n -> its diagonal alpha 1/h
+    points = []  # in the serial order of first use
     for n in levels:
+        diagonal[n] = 1.0 / session.grid(n).mesh.h
         points += [(n, None)] + [p for a in alphas for p in ((n, a), (n_ref, a))]
-    points += [(n_ref, None)] + [(n, 1.0 / session.grid(n).mesh.h) for n in levels]
-    points = list(dict.fromkeys(points))
+    points = list(dict.fromkeys(points + [(n_ref, None)] + list(diagonal.items())))
     for n in levels:
         _nesting_ratio(n, n_ref)
 
     def solve(share) -> dict:
-        """The report of each point of the share, in order, up to the first
-        point that raises; that point maps to its exception."""
+        """The report of each point of the share, solved in order; the first
+        point that fails raises."""
         results = {}
         for n, alpha in share:
             sys_n, data, family = session.point(n, alpha)
-            try:
-                results[n, alpha] = optimize(sys_n, data, family=family, tol=opt_tol,
-                                             max_iter=opt_max_iter, solver=session.solver)
-            except Exception as exc:  # raised below, in serial order
-                results[n, alpha] = exc
-                break
+            results[n, alpha] = optimize(sys_n, data, family=family, tol=opt_tol,
+                                         max_iter=opt_max_iter, solver=session.solver)
         return results
 
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     results = (_solve_forked(session, points, solve) if hasattr(os, "fork") and len(cpus) >= 2
                else solve(points))
-    for p in points:
-        if isinstance(results[p], Exception):
-            raise results[p]
 
-    def dist_on_ref(rep, rep_ref):
-        diff = prolongate(rep.g_opt, sys_ref.mesh).values - rep_ref.g_opt.values
-        return norm_H(sys_ref, diff)
+    def dist(p, q):
+        """H-distance of the controls of points p and q, on q's mesh."""
+        sys_q, g = session.grid(q[0]), results[p].g_opt
+        g = g if p[0] == q[0] else prolongate(g, sys_q.mesh)
+        return norm_H(sys_q, g.values - results[q].g_opt.values)
 
-    rows = []
-    for n in levels:
-        sys_n = session.grid(n)
-        rep_dir = results[n, None]
-        for a in alphas:
-            rep = results[n, a]
-            d1 = dist_on_ref(rep, results[n_ref, a])
-            d2 = norm_H(sys_n, rep.g_opt.values - rep_dir.g_opt.values)
-            rows.append(DiagramRow(n, sys_n.mesh.h, a, rep.J_opt,
-                                   norm_H(sys_n, rep.g_opt), d1, d2, math.nan))
+    def row(n, a, d1=math.nan, d2=math.nan, d3=math.nan):
+        sys_n, rep = session.grid(n), results[n, a]
+        return DiagramRow(n, sys_n.mesh.h, a, rep.J_opt, norm_H(sys_n, rep.g_opt), d1, d2, d3)
 
-    corner = results[n_ref, None]  # joint surrogate corner
-    d3_seq = []
-    for n in levels:
-        sys_n = session.grid(n)
-        a_diag = 1.0 / sys_n.mesh.h
-        rep = results[n, a_diag]
-        d3 = dist_on_ref(rep, corner)
-        d3_seq.append(d3)
-        rows.append(DiagramRow(n, sys_n.mesh.h, a_diag, rep.J_opt,
-                               norm_H(sys_n, rep.g_opt), math.nan, math.nan, d3))
-
-    a_max = alphas[-1]
-    n_max = levels[-1]
-    d1_seq = [r.d1 for r in rows if r.alpha == a_max and not math.isnan(r.d1)]
-    d2_seq = [r.d2 for r in rows if r.n == n_max and not math.isnan(r.d2)]
+    rows = [row(n, a, d1=dist((n, a), (n_ref, a)), d2=dist((n, a), (n, None)))
+            for n in levels for a in alphas]
+    rows += [row(n, a, d3=dist((n, a), (n_ref, None))) for n, a in diagonal.items()]
+    d1_seq = [r.d1 for r in rows if r.alpha == alphas[-1] and not math.isnan(r.d1)]
+    d2_seq = [r.d2 for r in rows if r.n == levels[-1] and not math.isnan(r.d2)]
+    d3_seq = [r.d3 for r in rows[-len(levels):]]
 
     return DiagramReport(
         rows=tuple(rows),

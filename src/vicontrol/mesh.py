@@ -3,9 +3,9 @@
 The boundary of every mesh is partitioned into a heat-exchange part
 (``gamma1``, where Robin or Dirichlet data act) and a flux part (``gamma2``).
 ``gamma1`` must be nonempty.  Nodes are ordered lexicographically by (y, x)
-so that assembly iterates in a reproducible order; projected sweeps go by
-colour classes of the matrix graph, coloured greedily in this node order,
-so they are deterministic too.
+so that assembly iterates in a reproducible order; projected sweeps go
+red-black by grid parity, with a greedy colouring in this node order as
+the fallback, so they are deterministic too.
 Meshes are immutable after construction and safe to share between solves.
 """
 

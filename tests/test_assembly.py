@@ -1,14 +1,21 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import vicontrol
 from vicontrol.assembly import (
     _EDGE_TEMPLATE,
     _MASS_TEMPLATE,
+    DOT_RUN,
     ProblemData,
+    _dot,
     _edge_lengths,
     as_control_field,
     assemble,
@@ -364,3 +371,41 @@ def test_a_box_control_on_all_nodes_is_its_value_at_each_node():
             corner = np.flatnonzero((m.nodes[:, 0] == lo) & (m.nodes[:, 1] == lo))
             on_edge = as_control_field(m, box_control(value, lo, hi, lo, hi)).values[corner]
             assert on_edge.tobytes() == np.float64(value).tobytes()  # the closed box holds it
+
+
+def test_dot_is_the_blas_dot_up_to_one_run():
+    rng = np.random.default_rng(0)
+    for size in (1, 3, 1000, DOT_RUN - 1, DOT_RUN):
+        x, y = rng.standard_normal(size), rng.standard_normal(size)
+        assert _dot(x, y).hex() == float(x @ y).hex()
+
+
+def test_dot_sums_a_longer_vector_run_by_run_in_order():
+    rng = np.random.default_rng(1)
+    x, y = rng.standard_normal(2 * DOT_RUN + 5), rng.standard_normal(2 * DOT_RUN + 5)
+    runs = [float(x[i:i + DOT_RUN] @ y[i:i + DOT_RUN]) for i in (0, DOT_RUN, 2 * DOT_RUN)]
+    assert _dot(x, y).hex() == ((runs[0] + runs[1]) + runs[2]).hex()
+
+
+LONG_NORM = """
+import numpy as np
+from vicontrol.assembly import assemble, norm_H
+from vicontrol.mesh import build_unit_square
+sys_ = assemble(build_unit_square(256))
+for seed in range(4):
+    print(norm_H(sys_, np.random.default_rng(seed).standard_normal(sys_.mesh.node_count)).hex())
+"""
+
+
+def test_a_long_norm_has_the_same_bits_on_one_and_two_blas_threads():
+    # 66 049 nodes: OpenBLAS sums one dot product that long in per-thread parts;
+    # a plain x @ M x gives the fourth norm another last bit on 2 threads than on 1
+    src = str(Path(vicontrol.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    bits = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", LONG_NORM], env=env, capture_output=True,
+                             text=True, check=True)
+        bits.add(run.stdout)
+    assert len(bits) == 1, bits

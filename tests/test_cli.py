@@ -535,3 +535,24 @@ def test_non_nested_diagram_levels_exit_2_before_any_optimization(tmp_path, caps
     assert capsys.readouterr().err == ("configuration error: fine divisions 16 must be a "
                                        "multiple of coarse divisions 3\n")
     assert calls == []
+
+
+def test_a_zero_diagram_level_exits_2_with_the_grid_message(tmp_path, capsys):
+    # every grid is assembled before the levels are checked for nesting, so a
+    # zero level names itself and does not divide by zero
+    code = main(["diagram", "--set", "diagram_levels=0,2", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == "configuration error: need n >= 1 subdivisions, got 0\n"
+
+
+@pytest.mark.parametrize("setting", ["diagram_levels=2,2,4", "diagram_alphas=4,2,2"])
+def test_a_repeated_diagram_level_or_alpha_exits_2_before_any_optimization(
+        tmp_path, capsys, monkeypatch, setting):
+    calls = []
+    monkeypatch.setattr(cli.convergence, "optimize", lambda *a, **kw: calls.append(a))
+    code = main(["diagram", "--preset", "contact-v1", "--set", setting,
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == ("configuration error: diagram levels and alphas must "
+                                       "not repeat a value\n")
+    assert calls == []

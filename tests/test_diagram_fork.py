@@ -17,7 +17,7 @@ from vicontrol import convergence
 from vicontrol.assembly import ProblemData
 from vicontrol.control import optimize
 from vicontrol.convergence import StudySession, diagram
-from vicontrol.errors import NonConvergenceError
+from vicontrol.errors import LineSearchError, NonConvergenceError
 from vicontrol.presets import box_control
 from vicontrol.vi_solver import ROBIN
 
@@ -230,5 +230,39 @@ def test_a_failing_point_here_does_not_wait_for_the_child(monkeypatch, forks):
     with pytest.raises(NonConvergenceError, match=f"^{re.escape(f'failed at {bad}')}$"):
         diagram(contact_session(), LEVELS, ALPHAS, opt_tol=1e-3)
     assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("kind", [LineSearchError, NonConvergenceError])
+def test_a_failure_in_the_childs_share_arrives_with_its_attributes(monkeypatch, forks, kind):
+    # the child pickles its exception, which keeps the exception's __dict__:
+    # the best report of a stalled line search, the residual, any attribute set
+    points = lattice_points(monkeypatch, LEVELS, ALPHAS)
+    bad = points[convergence._split(points)]  # the child's first point
+
+    def failing_at_bad(sys_, data, family, **kw):
+        rep = optimize(sys_, data, family=family, **kw)
+        if (sys_.mesh.division_count, data.alpha if family == ROBIN else None) != bad:
+            return rep
+        err = (LineSearchError(f"stalled at {bad}", best=rep) if kind is LineSearchError
+               else NonConvergenceError(f"no convergence at {bad}", residual=0.125, best=rep))
+        err.pid = os.getpid()
+        raise err
+
+    monkeypatch.setattr(convergence, "optimize", failing_at_bad)
+    errors = {}
+    for path in CPUS:
+        on_cpus(monkeypatch, path)
+        with pytest.raises(kind) as err:
+            diagram(contact_session(), LEVELS, ALPHAS, opt_tol=1e-3)
+        errors[path] = err.value
+    forked, here = errors["forked"], errors["in_process"]
+    assert here.pid == os.getpid() != forked.pid  # the forked one came through the pipe
+    assert str(forked) == str(here)
+    assert forked.best.J_opt == here.best.J_opt
+    assert forked.best.g_opt.values.tobytes() == here.best.g_opt.values.tobytes()
+    if kind is NonConvergenceError:
+        assert forked.residual == here.residual == 0.125
     assert len(forks) == 1
     assert_no_child_left()
