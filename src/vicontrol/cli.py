@@ -203,6 +203,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("tolerances must be positive and finite")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.max_iter < 0:
         raise ConfigError(f"max_iter must be >= 0 (0: solver default), got {cfg.max_iter}")
     if cfg.opt_max_iter < 1:

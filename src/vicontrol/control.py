@@ -169,8 +169,6 @@ def optimize(
     on small meshes.  A zero control whose cost overflows float64 raises
     InvalidParameterError before any step.
     """
-    if data.M_cost <= 0:
-        raise InvalidParameterError("optimization requires M_cost > 0")
     steps = {"proj_grad_adjoint": _proj_grad, "coord_search": _coord_search}
     if method not in steps:
         raise InvalidParameterError(f"unknown method {method!r}")

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import ProblemData, as_control_field, assemble, norm_H, norm_R, norm_V
-from .control import OptimizeReport, _cost_terms, optimize
+from .control import _cost_terms, optimize
 from .errors import InsufficientDataError, InvalidParameterError
 from .mesh import (Mesh, ScalarField, _element_geometry, _nesting_ratio, build_unit_square,
                    interpolate, prolongate)
@@ -309,15 +309,14 @@ def _split(points) -> int:
     return int(np.argmin(np.maximum(work, work[-1] - work))) + 1
 
 
-def _solve_forked(session: StudySession, points, solve) -> dict:
-    """``solve`` over the points: the prefix here, the suffix in a forked
-    child that pickles one object into a pipe, its reports (each control as
-    its value array) or the exception that stopped it.  A failure here comes
-    before every point of the child's, which is then stopped, and the
-    child's is raised after every point here, so a failing diagram waits for
-    no work that serial order would not do before its first failure.  If
-    the child's object does not arrive whole, its points are solved here."""
-    m = _split(points)
+def _solve_forked(here, there, solve) -> dict:
+    """``solve(here)`` in this process and ``solve(there)`` in a forked child,
+    merged.  The child pickles one object into a pipe: its results, one
+    (J, g values) pair per point, or the exception that stopped it.  A
+    failure here is raised at once, and the child is stopped; the child's is
+    raised after all of ``here`` is solved.  So with ``here`` first in serial
+    order, no failure waits for work that serial order would not do before
+    it.  If the child's object does not arrive whole, ``there`` is solved here."""
     _sys.stdout.flush()
     _sys.stderr.flush()
     r, w = os.pipe()
@@ -326,8 +325,7 @@ def _solve_forked(session: StudySession, points, solve) -> dict:
         try:
             os.close(r)
             try:
-                shipped = {p: replace(rep, g_opt=rep.g_opt.values)
-                           for p, rep in solve(points[m:]).items()}
+                shipped = solve(there)
             except Exception as exc:  # raised by the parent, after its own points
                 shipped = exc
             payload = pickle.dumps(shipped)
@@ -339,7 +337,7 @@ def _solve_forked(session: StudySession, points, solve) -> dict:
     os.close(w)
     try:
         with open(r, "rb") as pipe:
-            results = solve(points[:m])
+            results = solve(here)
             payload = pipe.read()
     finally:  # the child has written all it will, or its work is not needed
         os.kill(pid, signal.SIGKILL)
@@ -347,12 +345,10 @@ def _solve_forked(session: StudySession, points, solve) -> dict:
     try:
         shipped = pickle.loads(payload)
     except Exception:  # killed, out of memory or unpicklable: no whole result
-        return {**results, **solve(points[m:])}
+        return {**results, **solve(there)}
     if isinstance(shipped, Exception):
         raise shipped
-    for (n, alpha), rep in shipped.items():  # each control back on this process's mesh
-        results[n, alpha] = replace(rep, g_opt=ScalarField(session.grid(n).mesh, rep.g_opt))
-    return results
+    return {**results, **shipped}
 
 
 def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
@@ -388,28 +384,31 @@ def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
         _nesting_ratio(n, n_ref)
 
     def solve(share) -> dict:
-        """The report of each point of the share, solved in order; the first
-        point that fails raises."""
+        """(J_opt, control values) of each point of the share, solved in
+        order; the first point that fails raises."""
         results = {}
         for n, alpha in share:
             sys_n, data, family = session.point(n, alpha)
-            results[n, alpha] = optimize(sys_n, data, family=family, tol=opt_tol,
-                                         max_iter=opt_max_iter, solver=session.solver)
+            rep = optimize(sys_n, data, family=family, tol=opt_tol, max_iter=opt_max_iter,
+                           solver=session.solver)
+            results[n, alpha] = rep.J_opt, rep.g_opt.values
         return results
 
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    results = (_solve_forked(session, points, solve) if hasattr(os, "fork") and len(cpus) >= 2
-               else solve(points))
+    m = _split(points)
+    results = (_solve_forked(points[:m], points[m:], solve)
+               if hasattr(os, "fork") and len(cpus) >= 2 else solve(points))
 
     def dist(p, q):
         """H-distance of the controls of points p and q, on q's mesh."""
-        sys_q, g = session.grid(q[0]), results[p].g_opt
-        g = g if p[0] == q[0] else prolongate(g, sys_q.mesh)
-        return norm_H(sys_q, g.values - results[q].g_opt.values)
+        (nc, _), (nf, _), g = p, q, results[p][1]
+        sys_p, sys_q = session.grid(nc), session.grid(nf)
+        g = g if nc == nf else prolongate(ScalarField(sys_p.mesh, g), sys_q.mesh).values
+        return norm_H(sys_q, g - results[q][1])
 
     def row(n, a, d1=math.nan, d2=math.nan, d3=math.nan):
-        sys_n, rep = session.grid(n), results[n, a]
-        return DiagramRow(n, sys_n.mesh.h, a, rep.J_opt, norm_H(sys_n, rep.g_opt), d1, d2, d3)
+        sys_n, (J, g) = session.grid(n), results[n, a]
+        return DiagramRow(n, sys_n.mesh.h, a, J, norm_H(sys_n, g), d1, d2, d3)
 
     rows = [row(n, a, d1=dist((n, a), (n_ref, a)), d2=dist((n, a), (n, None)))
             for n in levels for a in alphas]

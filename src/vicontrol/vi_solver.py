@@ -594,7 +594,7 @@ def _coarse_contact(p: VIProblem, tol: float) -> np.ndarray | None:
     pc = VIProblem(A=(P.T @ p.A @ P).tocsr(), F=P.T @ p.F, lower_bound=p.lower_bound[keep],
                    dirichlet_nodes=nodes, dirichlet_values=values, division_count=nc)
     try:
-        u_c = solve_active_set(pc, tol=tol, initial_active=_coarse_contact(pc, tol))
+        u_c = _solve(pc, "active_set", tol)
     except (NonConvergenceError, InvalidParameterError):
         return None
     free, a_ff, f_f, lb_f = _free_split(p)

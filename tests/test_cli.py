@@ -323,6 +323,20 @@ def test_a_bad_conjecture_control_range_exits_2(tmp_path, capsys, setting):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("argv", [["conjecture", "--set", "seed=-5"]]
+                         + [[command, "--seed", "-1"] for command in sorted(cli._COMMANDS)],
+                         ids=" ".join)
+def test_a_negative_seed_exits_2_before_any_mesh_is_built(tmp_path, capsys, monkeypatch, argv):
+    # numpy's default_rng refuses a negative seed with a ValueError traceback;
+    # every command refuses it, whether or not it draws random controls
+    monkeypatch.setattr(cli, "build_unit_square", None)
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 2
+    value = argv[-1].split("=")[-1]
+    assert capsys.readouterr().err == f"configuration error: seed must be >= 0, got {value}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("solver", ["active_set", "psor"])
 @pytest.mark.parametrize("family", ["robin", "dirichlet_limit"])
 def test_data_too_large_for_float64_exits_2(tmp_path, capsys, family, solver):

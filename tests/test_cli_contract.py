@@ -4,11 +4,15 @@ A diagram on drawn levels, alphas, data, gamma1 and solver exits 0, 2, 3
 or 4 and raises nothing (pyproject turns a RuntimeWarning into an error);
 a refusal is one stderr line; diagram.csv holds ``nan`` only in its d1, d2
 and d3 cells, and no ``inf``; the distance sequences of summary.txt are
-finite; no forked child outlives the command.
+finite; no forked child outlives the command.  A conjecture on drawn n,
+trials, seed, control range, data, family and solver exits 0, 2 or 3 and
+raises nothing; a refusal is one stderr line; its three files hold no
+``nan`` or ``inf``.
 """
 
 import math
 import os
+import re
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -93,3 +97,55 @@ def test_a_diagram_keeps_the_exit_code_contract(tmp_path_factory, capsys, sets):
                 assert all(math.isfinite(float(v)) for v in line.split("): ")[1].split(", ")), line
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# A control-range end: moderate, or for the active-set method anything up to
+# +-1e300.  PSOR stops on an absolute residual, which very large controls
+# (3e16 in one draw) leave out of reach: such a trial runs all 100 000 sweeps
+# (1-1.5 s) and exits 3, so PSOR draws keep moderate ends and contact-v1's data.
+MODERATE = st.floats(-50.0, 50.0)
+SEEDS = st.one_of(st.integers(-5, 5), st.integers(-(2 ** 70), 2 ** 70))
+
+
+@st.composite
+def conjecture_settings(draw):
+    solver = draw(st.sampled_from(["active_set", "psor"]))
+    psor = solver == "psor"
+    bound = MODERATE if psor else st.one_of(MODERATE, WIDE)
+    low = draw(bound)
+    low, high = sorted((low, draw(st.one_of(st.just(low), bound))))  # equal ends too
+    b, m = (1.0, 1.0) if psor else (draw(POSITIVE), draw(POSITIVE))
+    q = 1.0 if psor else draw(FLUX)
+    return [
+        f"n={draw(st.integers(1, 6))}",
+        f"trials={draw(st.integers(1, 5))}",
+        f"seed={draw(SEEDS)}",
+        f"g_low={number(low)}",
+        f"g_high={number(high)}",
+        f"b={number(b)}",
+        f"q={number(q)}",
+        f"M={number(m)}",
+        f"family={draw(st.sampled_from(['robin', 'dirichlet_limit']))}",
+        f"solver={solver}",
+    ]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(sets=conjecture_settings())
+def test_a_conjecture_keeps_the_exit_code_contract(tmp_path_factory, capsys, sets):
+    out = tmp_path_factory.mktemp("conjecture")
+    argv = (["conjecture", "--preset", "contact-v1"] + [a for s in sets for a in ("--set", s)]
+            + ["--out", str(out)])
+    code = main(argv)
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (argv, code, err)
+    if code in (2, 3):
+        assert err.count("\n") == 1, err
+        assert err.startswith(("configuration error:", "solver failure:")), err
+        return
+    assert err == ""
+    for name in ("conjecture.csv", "witnesses.csv", "summary.txt"):
+        text = (out / name).read_text()
+        assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), (argv, name, text)
