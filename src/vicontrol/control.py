@@ -340,6 +340,8 @@ def check_open_problems(
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     if not (-np.inf < g_low <= g_high < np.inf and float(g_high) - float(g_low) < np.inf):
         raise InvalidParameterError(f"need finite g_low <= g_high, g_high - g_low finite, "
                                     f"got {g_low} and {g_high}")

@@ -7,7 +7,10 @@ and d3 cells, and no ``inf``; the distance sequences of summary.txt are
 finite; no forked child outlives the command.  A conjecture on drawn n,
 trials, seed, control range, data, family and solver exits 0, 2 or 3 and
 raises nothing; a refusal is one stderr line; its three files hold no
-``nan`` or ``inf``.
+``nan`` or ``inf``.  A state on drawn n, alpha, tol, data, control, gamma1,
+family, solver and cross-check exits 0, 2 or 3 and raises nothing; a
+refusal is one stderr line; state.csv and report.txt hold no ``nan`` or
+``inf``.
 """
 
 import math
@@ -147,5 +150,58 @@ def test_a_conjecture_keeps_the_exit_code_contract(tmp_path_factory, capsys, set
         return
     assert err == ""
     for name in ("conjecture.csv", "witnesses.csv", "summary.txt"):
+        text = (out / name).read_text()
+        assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), (argv, name, text)
+
+
+# The state slice holds alpha at most 1e4 and tol at least 1e-12, as the
+# diagram slice does.  A draw that runs PSOR, as its solver or as the
+# cross-check's reference, keeps contact-v1's data and a moderate control: a
+# control of 3e16 leaves PSOR's absolute residual at 3.0, as q = -1e300
+# does at larger values, so such a solve runs all 100 000 sweeps (about 1 s)
+# before it exits 3.  An active-set draw without the cross-check takes the
+# full data ranges.
+@st.composite
+def state_settings(draw):
+    solver = draw(st.sampled_from(["active_set", "psor"]))
+    cross_check = draw(st.booleans())
+    psor = solver == "psor" or cross_check
+    box = draw(st.tuples(st.floats(-30.0, 30.0), *[st.floats(0.0, 1.0)] * 4))
+    value = MODERATE if psor else WIDE
+    g = draw(st.one_of(value.map(number), st.just("box:" + ":".join(map(number, box)))))
+    gamma1 = draw(st.lists(st.sampled_from(SIDES), min_size=1, max_size=4, unique=True))
+    b, m = (1.0, 1.0) if psor else (draw(POSITIVE), draw(POSITIVE))
+    q = 1.0 if psor else draw(FLUX)
+    sets = [
+        f"n={draw(st.integers(1, 12))}",
+        f"alpha={number(10.0 ** draw(st.floats(-1.0 if psor else -3.0, 4.0)))}",
+        f"tol={number(10.0 ** draw(st.floats(-12.0, -4.0)))}",
+        f"b={number(b)}",
+        f"q={number(q)}",
+        f"M={number(m)}",
+        f"g={g}",
+        f"gamma1={','.join(gamma1)}",
+        f"family={draw(st.sampled_from(['robin', 'dirichlet_limit']))}",
+        f"solver={solver}",
+    ]
+    return [a for s in sets for a in ("--set", s)] + (["--cross-check"] if cross_check else [])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(args=state_settings())
+def test_a_state_keeps_the_exit_code_contract(tmp_path_factory, capsys, args):
+    out = tmp_path_factory.mktemp("state")
+    argv = ["state"] + args + ["--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (argv, code, err)  # a state has no acceptance check to fail
+    if code in (2, 3):
+        assert err.count("\n") == 1, err
+        assert err.startswith(("configuration error:", "solver failure:")), err
+        return
+    assert err == ""
+    for name in ("state.csv", "report.txt"):
         text = (out / name).read_text()
         assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), (argv, name, text)

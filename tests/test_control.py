@@ -336,3 +336,11 @@ def test_unknown_method_rejected():
     sys = assemble(m, data)
     with pytest.raises(InvalidParameterError):
         optimize(sys, data, ROBIN, method="newton")
+
+
+def test_conjecture_rejects_a_negative_seed():
+    # numpy's default_rng would raise a bare ValueError, "expected non-negative integer"
+    m = build_unit_square(2)
+    data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
+    with pytest.raises(InvalidParameterError, match=r"^seed must be >= 0, got -1$"):
+        check_open_problems(assemble(m, data), data, trials=1, seed=-1)
