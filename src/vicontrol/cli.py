@@ -3,10 +3,11 @@
 Subcommands: state, optimize, sweep-h, sweep-alpha, diagram, conjecture,
 interp-check.  Configuration is a flat ``key = value`` file plus ``--set``
 overrides; unknown keys are rejected.  Exit codes: 0 ok, 2 configuration
-error, 3 solver non-convergence or out of memory, 4 acceptance-check
-failure in a sweep.  Outputs are CSV files with a comment header carrying
-the configuration hash and preset name; identical configuration and seed
-reproduce outputs byte for byte.
+error (any ``InvalidParameterError``, or an ``OSError`` such as an ``--out``
+that cannot be made), 3 solver failure (any ``NonConvergenceError``, or out
+of memory), 4 acceptance-check failure in a sweep.  Outputs are CSV files
+with a comment header carrying the configuration hash and preset name;
+identical configuration and seed reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -21,17 +22,9 @@ import numpy as np
 
 from . import convergence
 from .assembly import ProblemData, assemble, norm_H
-from .control import check_open_problems, optimize
+from .control import _check_draws, check_open_problems, optimize
 from .convergence import StudySession
-from .errors import (
-    ConfigError,
-    CrossCheckError,
-    EvaluationError,
-    InsufficientDataError,
-    InvalidParameterError,
-    LineSearchError,
-    NonConvergenceError,
-)
+from .errors import ConfigError, InvalidParameterError, NonConvergenceError
 from .mesh import SIDES, ScalarField, build_unit_square, format_rows, write_mesh
 from .presets import PRESETS, box_control
 from .vi_solver import DEFAULT_TOL, FAMILIES, SOLVERS, solve_state
@@ -201,23 +194,14 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"unknown solver {cfg.solver!r}")
     if not (0.0 < cfg.tol < np.inf and 0.0 < cfg.opt_tol < np.inf):
         raise ConfigError("tolerances must be positive and finite")
-    if cfg.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    _check_draws(cfg.trials, cfg.seed, cfg.g_low, cfg.g_high)
     if cfg.max_iter < 0:
         raise ConfigError(f"max_iter must be >= 0 (0: solver default), got {cfg.max_iter}")
     if cfg.opt_max_iter < 1:
         raise ConfigError(f"opt_max_iter must be >= 1, got {cfg.opt_max_iter}")
-    if not (-np.inf < cfg.g_low <= cfg.g_high < np.inf and cfg.g_high - cfg.g_low < np.inf):
-        raise ConfigError(f"need finite g_low <= g_high, g_high - g_low finite, "
-                          f"got {cfg.g_low} and {cfg.g_high}")
     _parse_g(cfg.g)
     _parse_q(cfg.q)
-    try:  # numeric data validated by the same rules the solves use
-        ProblemData(alpha=cfg.alpha, b=cfg.b, q=0.0, M_cost=cfg.M, g=0.0)
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from None
+    ProblemData(alpha=cfg.alpha, b=cfg.b, q=0.0, M_cost=cfg.M, g=0.0)  # as the solves check it
 
 
 def _number_list(spec: str, key: str, kind=float):
@@ -515,15 +499,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except (ConfigError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[cfg.command](cfg)
-    except (ConfigError, EvaluationError, InvalidParameterError, InsufficientDataError) as exc:
+    except (InvalidParameterError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergenceError, LineSearchError, CrossCheckError) as exc:
+    except NonConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except MemoryError:

@@ -209,6 +209,7 @@ def _proj_grad(ev: _Evaluator, g: np.ndarray, report: CostReport, tol: float,
             best = _opt_report(ev, g, report, it - 1, gnorm, "proj_grad_adjoint", history)
             raise LineSearchError(
                 f"line search stalled at gradient norm {gnorm:.3e} (tol {tol:.1e})",
+                residual=gnorm,
                 best=best,
             )
         g, report = accepted
@@ -238,8 +239,12 @@ def _newton_step(ev: _Evaluator, state: VIReport, grad: np.ndarray, atol: float)
     for _ in range(CG_MAX_ITER):
         if not np.sqrt(rr) > atol:
             break
-        hp = hess(p)
-        step = rr / _dot(p, _matvec(m_h, hp))
+        with np.errstate(over="ignore", invalid="ignore"):
+            hp = hess(p)
+            curvature = _dot(p, _matvec(m_h, hp))
+        if not np.isfinite(curvature):
+            raise InvalidParameterError("a Newton-CG step overflows float64; scale down the data")
+        step = rr / curvature
         d = d + step * p
         r = r - step * hp
         rr, rr_old = _form(m_h, r), rr
@@ -316,6 +321,17 @@ def _combination_states(ev: _Evaluator, g1, g2, mu: float):
     return g3, u1, u2, mu * u1 + (1.0 - mu) * u2, u4
 
 
+def _check_draws(trials: int, seed: int, g_low: float, g_high: float):
+    """Refuse no trial, a negative seed, and a reversed, non-finite or too wide g range."""
+    if trials < 1:
+        raise InvalidParameterError("trials must be >= 1")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    if not (-np.inf < g_low <= g_high < np.inf and float(g_high) - float(g_low) < np.inf):
+        raise InvalidParameterError(f"need finite g_low <= g_high, g_high - g_low finite, "
+                                    f"got {g_low} and {g_high}")
+
+
 def check_open_problems(
     sys: AssembledSystem,
     data: ProblemData,
@@ -338,13 +354,7 @@ def check_open_problems(
     stacked vectors, and raises InvalidParameterError if a form or margin
     overflows float64.
     """
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    if not (-np.inf < g_low <= g_high < np.inf and float(g_high) - float(g_low) < np.inf):
-        raise InvalidParameterError(f"need finite g_low <= g_high, g_high - g_low finite, "
-                                    f"got {g_low} and {g_high}")
+    _check_draws(trials, seed, g_low, g_high)
     rng = np.random.default_rng(seed)
     ev = _Evaluator(sys, data, family, solver=solver)
     m_h = sys.M_H

@@ -1,31 +1,42 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every class derives from one of two roots, which decides the CLI's exit code:
+InvalidParameterError, bad input of any kind, exits 2 ("configuration error");
+NonConvergenceError, a solver that missed its answer, exits 3 ("solver failure").
+"""
 
 
 class InvalidParameterError(ValueError):
     """A parameter is outside its admissible range."""
 
 
-class EvaluationError(ValueError):
+class EvaluationError(InvalidParameterError):
     """A user-supplied function returned a non-finite or invalid value."""
 
 
-class MeshError(RuntimeError):
+class MeshError(InvalidParameterError):
     """A triangulation violates conformity or tagging invariants."""
 
 
-class AssemblyError(RuntimeError):
+class AssemblyError(InvalidParameterError):
     """Element matrices cannot be formed (e.g. degenerate triangle)."""
 
 
-class MatrixError(RuntimeError):
+class MatrixError(InvalidParameterError):
     """A system matrix fails a definiteness requirement."""
 
 
-class NonConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap.
+class InsufficientDataError(InvalidParameterError):
+    """Not enough usable rows to fit a convergence order."""
 
-    Carries the last residual and, when available, the best iterate.
-    """
+
+class ConfigError(InvalidParameterError):
+    """Bad or unknown configuration key/value."""
+
+
+class NonConvergenceError(RuntimeError):
+    """A solver missed its answer: an iteration cap, a stalled line search or
+    a failed cross-check.  Carries its residual and any best iterate."""
 
     def __init__(self, message, residual=None, best=None):
         super().__init__(message)
@@ -33,21 +44,9 @@ class NonConvergenceError(RuntimeError):
         self.best = best
 
 
-class CrossCheckError(RuntimeError):
+class CrossCheckError(NonConvergenceError):
     """Two independent solvers disagreed beyond the allowed tolerance."""
 
 
-class LineSearchError(RuntimeError):
+class LineSearchError(NonConvergenceError):
     """Backtracking line search stalled; carries the best iterate found."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
-class InsufficientDataError(ValueError):
-    """Not enough usable rows to fit a convergence order."""
-
-
-class ConfigError(ValueError):
-    """Bad or unknown configuration key/value."""

@@ -649,6 +649,6 @@ def solve_state(
         gap = float(np.max(np.abs(rep.values() - rep2.values())))
         if gap > 10.0 * tol:
             raise CrossCheckError(
-                f"solvers disagree: max difference {gap:.3e} > {10.0 * tol:.1e}"
+                f"solvers disagree: max difference {gap:.3e} > {10.0 * tol:.1e}", residual=gap
             )
     return rep

@@ -1,9 +1,10 @@
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from vicontrol import cli, vi_solver
+from vicontrol import cli, errors, vi_solver
 from vicontrol.assembly import ProblemData
 from vicontrol.cli import _build_parser, main
 from vicontrol.control import CONJECTURE_TOL
@@ -351,6 +352,23 @@ def test_data_too_large_for_float64_exits_2(tmp_path, capsys, family, solver):
     assert not (out / "state.csv").exists()
 
 
+@pytest.mark.parametrize("sets", [
+    # M d overflowed in the first Hessian product: two RuntimeWarnings on
+    # stderr, then a line-search stall at gradient norm 8.276e+15 and exit 3
+    ["n=2", "M=1e300", "b=1e16"],
+    # the Hessian product was finite and the curvature, its H inner product
+    # with the CG direction, overflowed: one RuntimeWarning, then a stall and exit 3
+    ["n=3", "M=6.13e16", "b=2.29e151", "q=3.39", "gamma1=top,right"],
+], ids=" ".join)
+def test_an_optimization_whose_newton_step_overflows_exits_2(tmp_path, capsys, sets):
+    out = tmp_path / "run"
+    code = main(["optimize", *[a for s in sets for a in ("--set", s)], "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("configuration error: a Newton-CG step overflows "
+                                       "float64; scale down the data\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, setting", [
     ("state", "max_iter=-1"), ("optimize", "opt_max_iter=0"), ("optimize", "opt_max_iter=-3"),
 ])
@@ -570,3 +588,34 @@ def test_a_repeated_diagram_level_or_alpha_exits_2_before_any_optimization(
     assert capsys.readouterr().err == ("configuration error: diagram levels and alphas must "
                                        "not repeat a value\n")
     assert calls == []
+
+
+# the root of an error's class decides the exit code and the stderr prefix
+ROOTS = {errors.InvalidParameterError: (2, "configuration error: "),
+         errors.NonConvergenceError: (3, "solver failure: ")}
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if cls.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("kind", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_with_the_code_of_its_one_root(tmp_path, capsys, monkeypatch,
+                                                               kind):
+    (root,) = [r for r in ROOTS if issubclass(kind, r)]
+    code, prefix = ROOTS[root]
+
+    def fail(*args, **kwargs):
+        raise kind("raised in the mesh build")
+
+    monkeypatch.setattr(cli, "build_unit_square", fail)
+    out = tmp_path / "run"
+    assert main(["state", "--set", "n=2", "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{prefix}raised in the mesh build\n"
+    assert not out.exists()
+
+
+def test_an_out_that_cannot_be_made_exits_2_with_one_line(tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["state", "--set", "n=2", "--out", str(blocker / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err

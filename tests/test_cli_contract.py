@@ -10,6 +10,9 @@ raises nothing; a refusal is one stderr line; its three files hold no
 ``nan`` or ``inf``.  A state on drawn n, alpha, tol, data, control, gamma1,
 family, solver and cross-check exits 0, 2 or 3 and raises nothing; a
 refusal is one stderr line; state.csv and report.txt hold no ``nan`` or
+``inf``.  An optimize on drawn n, tolerances, data, control, gamma1,
+family, solver and method exits 0, 2 or 3 and raises nothing; a refusal is
+one stderr line; g_opt.csv, history.csv and report.txt hold no ``nan`` or
 ``inf``.
 """
 
@@ -203,5 +206,59 @@ def test_a_state_keeps_the_exit_code_contract(tmp_path_factory, capsys, args):
         return
     assert err == ""
     for name in ("state.csv", "report.txt"):
+        text = (out / name).read_text()
+        assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), (argv, name, text)
+
+
+# The optimize slice keeps alpha at the CLI default, 2.  A draw that runs
+# PSOR keeps contact-v1's data and a moderate control, as the diagram slice
+# does.  Compass-search draws take a step tolerance of at least 1e-8 and
+# stay on n <= 2, n = 1 with PSOR: the oracle makes up to two state solves
+# per node per sweep and halves its step once per sweep that finds no
+# decrease, so on n = 2 at opt_tol 1e-6 it makes 860 solves, 0.06 s with the
+# active-set method and 1.2 s with PSOR.
+@st.composite
+def optimize_settings(draw):
+    solver = draw(st.sampled_from(["active_set", "psor"]))
+    psor = solver == "psor"
+    method = draw(st.sampled_from(["proj_grad_adjoint", "coord_search"]))
+    compass = method == "coord_search"
+    box = draw(st.tuples(st.floats(-30.0, 30.0), *[st.floats(0.0, 1.0)] * 4))
+    value = MODERATE if psor else WIDE
+    g = draw(st.one_of(value.map(number), st.just("box:" + ":".join(map(number, box)))))
+    gamma1 = draw(st.lists(st.sampled_from(SIDES), min_size=1, max_size=4, unique=True))
+    b, m = (1.0, 1.0) if psor else (draw(POSITIVE), draw(POSITIVE))
+    q = 1.0 if psor else draw(FLUX)
+    return [
+        f"n={draw(st.integers(1, (1 if psor else 2) if compass else 8))}",
+        f"tol={number(10.0 ** draw(st.floats(-12.0, -4.0)))}",
+        f"opt_tol={number(10.0 ** draw(st.floats(-8.0 if compass else -12.0, -2.0)))}",
+        f"b={number(b)}",
+        f"q={number(q)}",
+        f"M={number(m)}",
+        f"g={g}",
+        f"gamma1={','.join(gamma1)}",
+        f"family={draw(st.sampled_from(['robin', 'dirichlet_limit']))}",
+        f"solver={solver}",
+        f"opt_method={method}",
+    ]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(sets=optimize_settings())
+def test_an_optimize_keeps_the_exit_code_contract(tmp_path_factory, capsys, sets):
+    out = tmp_path_factory.mktemp("optimize")
+    argv = ["optimize"] + [a for s in sets for a in ("--set", s)] + ["--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (argv, code, err)  # an optimization has no acceptance check
+    if code in (2, 3):
+        assert err.count("\n") == 1, err
+        assert err.startswith(("configuration error:", "solver failure:")), err
+        return
+    assert err == ""
+    for name in ("g_opt.csv", "history.csv", "report.txt"):
         text = (out / name).read_text()
         assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), (argv, name, text)

@@ -13,7 +13,7 @@ from vicontrol.control import (
     cost,
     optimize,
 )
-from vicontrol.errors import InvalidParameterError, LineSearchError
+from vicontrol.errors import InvalidParameterError, LineSearchError, NonConvergenceError
 from vicontrol.mesh import ScalarField, build_unit_square
 from vicontrol.presets import box_control
 from vicontrol.vi_solver import DIRICHLET_LIMIT, ROBIN, solve_state
@@ -143,6 +143,26 @@ def test_a_trial_that_does_not_lower_j_is_not_taken(monkeypatch):
     assert len(values) == 1 + control.MAX_BACKTRACKS
     assert err.value.best.iterations == 0
     assert err.value.best.history == (values[0],)
+
+
+def test_a_stalled_line_search_carries_its_gradient_norm_as_residual(monkeypatch):
+    # every exit-3 error has one shape: the residual, and the best report when there is one
+    m = build_unit_square(4)
+    data = ProblemData(alpha=1.0, b=1.0, q=0.0, M_cost=1.0, g=0.0)
+    values = []
+    evaluate = control._Evaluator.cost
+
+    def level(ev, gvals):
+        rep = evaluate(ev, gvals)
+        values.append(rep.value)
+        return replace(rep, value=values[0])  # no trial lowers J: the first step stalls
+
+    monkeypatch.setattr(control._Evaluator, "cost", level)
+    with pytest.raises(LineSearchError) as err:
+        optimize(assemble(m, data), data, ROBIN, tol=0.0)
+    assert isinstance(err.value, NonConvergenceError)
+    assert err.value.residual == err.value.best.gradient_norm_final > 0.0
+    assert f"gradient norm {err.value.residual:.3e}" in str(err.value)
 
 
 def test_huge_cost_weight_collapses_the_control():

@@ -18,7 +18,8 @@ from vicontrol.assembly import (
     norm_V,
     robin_matrix,
 )
-from vicontrol.errors import InvalidParameterError, MatrixError, NonConvergenceError
+from vicontrol.errors import (CrossCheckError, InvalidParameterError, MatrixError,
+                              NonConvergenceError)
 from vicontrol.mesh import ScalarField, build_unit_square, prolongate
 from vicontrol.presets import box_control
 from oracles import contact_candidates, enumerate_vi_dense, inactive_block
@@ -252,6 +253,22 @@ def test_an_active_set_cross_check_starts_psor_at_the_obstacle(monkeypatch):
     solve_state(m, sys, data, DIRICHLET_LIMIT, solver="active_set", cross_check=True)
     (kwargs, _), = psor
     assert kwargs.get("u0") is None
+
+
+def test_a_cross_check_failure_carries_the_gap_as_its_residual(monkeypatch):
+    solve_psor = vi_solver.solve_psor
+
+    def shifted(p, **kwargs):
+        rep = solve_psor(p, **kwargs)
+        return replace(rep, solution=rep.solution + 1e-3)  # a reference that disagrees
+
+    monkeypatch.setattr(vi_solver, "solve_psor", shifted)
+    m, sys, data = contact_problem(n=4)
+    with pytest.raises(CrossCheckError) as err:
+        solve_state(m, sys, data, ROBIN, cross_check=True)
+    assert isinstance(err.value, NonConvergenceError)
+    assert err.value.residual == pytest.approx(1e-3, rel=1e-9)
+    assert f"max difference {err.value.residual:.3e}" in str(err.value)
 
 
 def test_psor_nonconvergence_carries_residual():
