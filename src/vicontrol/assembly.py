@@ -26,7 +26,7 @@ from .mesh import (_AREA_TOL, Mesh, ScalarField, _element_geometry, _nodal_field
 from .presets import Box
 
 # control/flux specifications accepted by problem data
-ControlSpec = Union[float, Callable[[float, float], float], ScalarField, None]
+ControlSpec = Union[float, Callable[[float, float], float], ScalarField, np.ndarray, None]
 FluxSpec = Union[float, dict, Callable[[float, float], float]]
 
 _MASS_TEMPLATE = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -51,8 +51,9 @@ class ProblemData:
         (treated as constant per edge).
     M_cost : float
         Weight of the control term in the quadratic cost (> 0).
-    g : float, callable, ScalarField, or None
-        Distributed control; materialized as a P1 nodal field per mesh.
+    g : float, callable, ScalarField, nodal array, or None
+        Distributed control; materialized as a P1 nodal field per mesh (an
+        array must hold one value per node).
     """
 
     alpha: float | None = None
@@ -95,6 +96,8 @@ def as_control_field(mesh: Mesh, g: ControlSpec) -> ScalarField:
         if not _same_mesh(g.mesh, mesh):
             raise InvalidParameterError("control field lives on a different mesh")
         return g
+    if isinstance(g, np.ndarray):
+        return ScalarField(mesh, g)
     if isinstance(g, Box):
         return _nodal_field(mesh, g.at(*mesh.nodes.T))
     if callable(g):

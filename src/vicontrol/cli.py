@@ -15,17 +15,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import convergence
-from .assembly import ProblemData, assemble, norm_H
+from .assembly import ProblemData, as_control_field, norm_H
 from .control import _check_draws, check_open_problems, optimize
 from .convergence import StudySession
 from .errors import ConfigError, InvalidParameterError, NonConvergenceError
-from .mesh import SIDES, ScalarField, build_unit_square, format_rows, write_mesh
+from .mesh import SIDES, format_rows, write_mesh
 from .presets import PRESETS, box_control
 from .vi_solver import DEFAULT_TOL, FAMILIES, SOLVERS, solve_state
 
@@ -110,7 +110,8 @@ def _read_config_file(cfg: RunConfig, path: str):
         _apply(cfg, key.strip(), raw)
 
 
-def load_config(args) -> RunConfig:
+def load_config(args) -> tuple[RunConfig, StudySession]:
+    """The run's configuration and the one StudySession its command runs on."""
     cfg = RunConfig(command=args.command)
     if args.preset:
         if args.preset not in PRESETS:
@@ -132,7 +133,7 @@ def load_config(args) -> RunConfig:
     cfg.cross_check = cfg.cross_check or args.cross_check
     cfg.dump_mesh = cfg.dump_mesh or args.dump_mesh
     _validate(cfg)
-    return cfg
+    return cfg, _session(cfg)
 
 
 def _parse_g(spec: str):
@@ -149,12 +150,11 @@ def _parse_g(spec: str):
     if spec.startswith("file:"):
         path = spec[5:]
         try:
-            vals = np.loadtxt(path, dtype=float, ndmin=1)
+            return np.loadtxt(path, dtype=float, ndmin=1)  # nodal values, bound per grid
         except OSError:
             raise ConfigError(f"cannot read control file {path!r}") from None
         except ValueError:
             raise ConfigError(f"control file {path!r} holds non-numeric values") from None
-        return ("file", vals)
     try:
         return float(spec)
     except ValueError:
@@ -199,9 +199,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"max_iter must be >= 0 (0: solver default), got {cfg.max_iter}")
     if cfg.opt_max_iter < 1:
         raise ConfigError(f"opt_max_iter must be >= 1, got {cfg.opt_max_iter}")
-    _parse_g(cfg.g)
-    _parse_q(cfg.q)
-    ProblemData(alpha=cfg.alpha, b=cfg.b, q=0.0, M_cost=cfg.M, g=0.0)  # as the solves check it
 
 
 def _number_list(spec: str, key: str, kind=float):
@@ -211,17 +208,14 @@ def _number_list(spec: str, key: str, kind=float):
         raise ConfigError(f"bad {kind.__name__} list for {key}: {spec!r}") from None
 
 
-def _problem_data(cfg: RunConfig, mesh=None) -> ProblemData:
+def _session(cfg: RunConfig) -> StudySession:
+    """The StudySession of the run: its data, gamma1, solver and tol.  A
+    file control is nodal values, which the lattice studies cannot bind."""
     g = _parse_g(cfg.g)
-    if isinstance(g, tuple):  # nodal values from file need the mesh
-        if mesh is None:
-            raise ConfigError("file controls require a mesh-bound command")
-        if g[1].shape != (mesh.node_count,):
-            raise ConfigError(
-                f"control file has {g[1].shape[0]} values, mesh has {mesh.node_count} nodes"
-            )
-        g = ScalarField(mesh, g[1])
-    return ProblemData(alpha=cfg.alpha, b=cfg.b, q=_parse_q(cfg.q), M_cost=cfg.M, g=g)
+    data = ProblemData(alpha=cfg.alpha, b=cfg.b, q=_parse_q(cfg.q), M_cost=cfg.M, g=g)
+    if isinstance(g, np.ndarray) and cfg.command in ("sweep-h", "sweep-alpha", "diagram"):
+        raise ConfigError("file controls require a mesh-bound command")
+    return StudySession(data, cfg.gamma1, cfg.solver, cfg.tol)
 
 
 def _fmt(x) -> str:
@@ -266,20 +260,20 @@ def _write_rate_csv(cfg: RunConfig, name: str, table: convergence.RateTable):
     _write(cfg, name, body, [f"reference: {table.reference}", *notes])
 
 
-def _mesh_setup(cfg: RunConfig):
-    """Problem data and assembled system of a mesh-bound command; the mesh
-    is ``sys_.mesh``, written out when ``dump_mesh`` is set."""
-    mesh = build_unit_square(cfg.n, cfg.gamma1)
-    data = _problem_data(cfg, mesh)
-    sys_ = assemble(mesh, data)
+def _grid(cfg: RunConfig, session: StudySession):
+    """Data and system of a mesh-bound command: the session's n-division
+    grid, with the control bound to its nodes; its mesh is ``sys_.mesh``,
+    written out when ``dump_mesh`` is set."""
+    sys_ = session.grid(cfg.n)
+    data = replace(session.data, g=as_control_field(sys_.mesh, session.data.g))
     if cfg.dump_mesh:
         Path(cfg.out).mkdir(parents=True, exist_ok=True)
-        write_mesh(mesh, Path(cfg.out) / "mesh.txt")
+        write_mesh(sys_.mesh, Path(cfg.out) / "mesh.txt")
     return data, sys_
 
 
-def cmd_state(cfg: RunConfig) -> int:
-    data, sys_ = _mesh_setup(cfg)
+def cmd_state(cfg: RunConfig, session: StudySession) -> int:
+    data, sys_ = _grid(cfg, session)
     rep = solve_state(
         sys_.mesh, sys_, data, family=cfg.family, solver=cfg.solver, tol=cfg.tol,
         max_iter=cfg.max_iter or None, cross_check=cfg.cross_check,
@@ -297,8 +291,8 @@ def cmd_state(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
-    data, sys_ = _mesh_setup(cfg)
+def cmd_optimize(cfg: RunConfig, session: StudySession) -> int:
+    data, sys_ = _grid(cfg, session)
     rep = optimize(
         sys_, data, family=cfg.family, method=cfg.opt_method,
         tol=cfg.opt_tol, max_iter=cfg.opt_max_iter, solver=cfg.solver,
@@ -338,13 +332,7 @@ def _order_check(table: convergence.RateTable, floor: float):
     return table.fitted_order >= floor, f"fitted order {table.fitted_order:.3f}"
 
 
-def _session(cfg: RunConfig) -> StudySession:
-    """The StudySession a study command runs on: its data, gamma1, solver and tol."""
-    return StudySession(_problem_data(cfg), cfg.gamma1, cfg.solver, cfg.tol)
-
-
-def cmd_sweep_h(cfg: RunConfig) -> int:
-    session = _session(cfg)
+def cmd_sweep_h(cfg: RunConfig, session: StudySession) -> int:
     levels = _number_list(cfg.levels, "levels", int)
     state_tab = convergence.h_sweep_state(session, cfg.alpha, levels)
     cost_tab = convergence.h_sweep_cost(session, cfg.alpha, levels)
@@ -366,8 +354,7 @@ def cmd_sweep_h(cfg: RunConfig) -> int:
     return _sweep_summary(cfg, lines, checks)
 
 
-def cmd_sweep_alpha(cfg: RunConfig) -> int:
-    session = _session(cfg)
+def cmd_sweep_alpha(cfg: RunConfig, session: StudySession) -> int:
     alphas = _number_list(cfg.alphas, "alphas")
     tables = convergence.alpha_sweep_state(session, cfg.n, alphas)
     _write_rate_csv(cfg, "rate_alpha_trace.csv", tables["R"])
@@ -394,9 +381,9 @@ def cmd_sweep_alpha(cfg: RunConfig) -> int:
     return _sweep_summary(cfg, lines, checks)
 
 
-def cmd_diagram(cfg: RunConfig) -> int:
+def cmd_diagram(cfg: RunConfig, session: StudySession) -> int:
     rep = convergence.diagram(
-        _session(cfg),
+        session,
         _number_list(cfg.diagram_levels, "diagram_levels", int),
         _number_list(cfg.diagram_alphas, "diagram_alphas"),
         opt_tol=cfg.opt_tol,
@@ -419,8 +406,8 @@ def cmd_diagram(cfg: RunConfig) -> int:
     return _sweep_summary(cfg, lines, checks)
 
 
-def cmd_conjecture(cfg: RunConfig) -> int:
-    data, sys_ = _mesh_setup(cfg)
+def cmd_conjecture(cfg: RunConfig, session: StudySession) -> int:
+    data, sys_ = _grid(cfg, session)
     rep = check_open_problems(
         sys_, data, trials=cfg.trials, seed=cfg.seed, family=cfg.family,
         g_low=cfg.g_low, g_high=cfg.g_high, solver=cfg.solver,
@@ -448,7 +435,7 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_interp_check(cfg: RunConfig) -> int:
+def cmd_interp_check(cfg: RunConfig, session: StudySession) -> int:
     levels = _number_list(cfg.interp_levels, "interp_levels", int)
     tables = convergence.interp_rate_study(
         lambda x, y: x * x, lambda x, y: (2.0 * x, 0.0), levels, cfg.gamma1
@@ -498,8 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        cfg, session = load_config(args)
+        return _COMMANDS[cfg.command](cfg, session)
     except (InvalidParameterError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,8 +33,8 @@ import numpy as np
 from .assembly import ProblemData, as_control_field, assemble, norm_H, norm_R, norm_V
 from .control import _cost_terms, optimize
 from .errors import InsufficientDataError, InvalidParameterError
-from .mesh import (Mesh, ScalarField, _element_geometry, _nesting_ratio, build_unit_square,
-                   interpolate, prolongate)
+from .mesh import (Mesh, ScalarField, _check_divisions, _element_geometry, _nesting_ratio,
+                   build_unit_square, interpolate, prolongate)
 from .vi_solver import DEFAULT_TOL, DIRICHLET_LIMIT, ROBIN, solve_state
 
 ZERO_NOTE = "zero errors excluded from fit"
@@ -373,6 +373,9 @@ def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
     if any(a == b for v in (levels, alphas) for a, b in zip(v, v[1:])):
         raise InvalidParameterError("diagram levels and alphas must not repeat a value")
     n_ref = 4 * levels[-1]
+    for n in (n_ref, *levels):  # as the grids would refuse them, before any is assembled
+        _check_divisions(n)
+        _nesting_ratio(n, n_ref)
     session.grid(n_ref)  # every grid is assembled here, before any solve or fork
     diagonal = {}  # level n -> its diagonal alpha 1/h
     points = []  # in the serial order of first use
@@ -380,8 +383,6 @@ def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
         diagonal[n] = 1.0 / session.grid(n).mesh.h
         points += [(n, None)] + [p for a in alphas for p in ((n, a), (n_ref, a))]
     points = list(dict.fromkeys(points + [(n_ref, None)] + list(diagonal.items())))
-    for n in levels:
-        _nesting_ratio(n, n_ref)
 
     def solve(share) -> dict:
         """(J_opt, control values) of each point of the share, solved in

@@ -139,8 +139,7 @@ def build_unit_square(n: int, gamma1_spec="bottom") -> Mesh:
         Sides assigned to gamma1, e.g. ``"bottom"`` or ``"bottom,left"``.
         The remaining sides form gamma2.
     """
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1 subdivisions, got {n}")
+    _check_divisions(n)
     sides = _normalize_sides(gamma1_spec)
 
     m = n + 1
@@ -266,6 +265,11 @@ def prolongate(field: ScalarField, fine: Mesh) -> ScalarField:
     if nc is None or nf is None:
         raise InvalidParameterError("prolongation requires structured meshes")
     return ScalarField(fine, _prolongation(nc, _nesting_ratio(nc, nf)) @ field.values)
+
+
+def _check_divisions(n: int):
+    if n < 1:
+        raise InvalidParameterError(f"need n >= 1 subdivisions, got {n}")
 
 
 def _nesting_ratio(nc: int, nf: int) -> int:

@@ -330,7 +330,7 @@ def test_a_bad_conjecture_control_range_exits_2(tmp_path, capsys, setting):
 def test_a_negative_seed_exits_2_before_any_mesh_is_built(tmp_path, capsys, monkeypatch, argv):
     # numpy's default_rng refuses a negative seed with a ValueError traceback;
     # every command refuses it, whether or not it draws random controls
-    monkeypatch.setattr(cli, "build_unit_square", None)
+    monkeypatch.setattr(cli.convergence, "build_unit_square", None)
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 2
     value = argv[-1].split("=")[-1]
@@ -424,6 +424,34 @@ def test_a_bad_setting_exits_2_with_its_message(tmp_path, capsys, command, setti
                  "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_file_control_is_read_once_and_solves_as_its_values(tmp_path, monkeypatch):
+    reads = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: reads.append(a) or loadtxt(*a, **kw))
+    control = tmp_path / "g.txt"
+    control.write_text("-20\n" * 81)  # one value per node of the n=8 mesh
+    bodies = []
+    for g in (f"file:{control}", "-20"):
+        out = tmp_path / g.split(":")[0]
+        assert main(["state", "--preset", "contact-v1", "--set", "n=8", "--set", f"g={g}",
+                     "--out", str(out)]) == 0
+        bodies.append(read_csv(out / "state.csv"))
+    assert len(reads) == 1
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("command", ["state", "optimize", "conjecture"])
+def test_a_two_column_control_file_exits_2_naming_its_shape(tmp_path, capsys, command):
+    control = tmp_path / "g.txt"
+    control.write_text("0 0\n" * 9)  # two values per node of the n=2 mesh
+    out = tmp_path / "run"
+    code = main([command, "--preset", "constant-v1", "--set", "n=2", "--set", f"g=file:{control}",
+                 "--dump-mesh", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "configuration error: field has (9, 2) values for 9 nodes\n"
     assert not out.exists()
 
 
@@ -526,7 +554,7 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, where):
         raise MemoryError
 
     if where == "mesh":
-        monkeypatch.setattr(cli, "build_unit_square", no_memory)
+        monkeypatch.setattr(cli.convergence, "build_unit_square", no_memory)
     else:  # n = 16 makes blocks above DENSE_MAX, which SuperLU factors
         monkeypatch.setattr(vi_solver, "spla", SimpleNamespace(splu=no_memory))
     code = main(["state", "--preset", "contact-v1", "--set", "n=16",
@@ -570,11 +598,29 @@ def test_non_nested_diagram_levels_exit_2_before_any_optimization(tmp_path, caps
 
 
 def test_a_zero_diagram_level_exits_2_with_the_grid_message(tmp_path, capsys):
-    # every grid is assembled before the levels are checked for nesting, so a
-    # zero level names itself and does not divide by zero
+    # each level is checked as its grid would check it before the levels are
+    # checked for nesting, so a zero level names itself and does not divide by zero
     code = main(["diagram", "--set", "diagram_levels=0,2", "--out", str(tmp_path / "run")])
     assert code == 2
     assert capsys.readouterr().err == "configuration error: need n >= 1 subdivisions, got 0\n"
+
+
+@pytest.mark.parametrize("levels, message", [
+    ("3,4", "fine divisions 16 must be a multiple of coarse divisions 3"),
+    ("0,2", "need n >= 1 subdivisions, got 0"),
+])
+def test_a_refused_diagram_assembles_no_grid(tmp_path, capsys, monkeypatch, levels, message):
+    # refused after assembly, diagram_levels=3,128 would build the n = 512 grid
+    # (335 MB) for nothing
+    assembled = []
+    assemble = cli.convergence.assemble
+    monkeypatch.setattr(cli.convergence, "assemble",
+                        lambda mesh, data: assembled.append(mesh) or assemble(mesh, data))
+    code = main(["diagram", "--preset", "contact-v1", "--set", f"diagram_levels={levels}",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert assembled == []
 
 
 @pytest.mark.parametrize("setting", ["diagram_levels=2,2,4", "diagram_alphas=4,2,2"])
@@ -606,7 +652,7 @@ def test_every_error_class_exits_with_the_code_of_its_one_root(tmp_path, capsys,
     def fail(*args, **kwargs):
         raise kind("raised in the mesh build")
 
-    monkeypatch.setattr(cli, "build_unit_square", fail)
+    monkeypatch.setattr(cli.convergence, "build_unit_square", fail)
     out = tmp_path / "run"
     assert main(["state", "--set", "n=2", "--out", str(out)]) == code
     assert capsys.readouterr().err == f"{prefix}raised in the mesh build\n"
