@@ -260,6 +260,9 @@ def _write_rate_csv(cfg: RunConfig, name: str, table: convergence.RateTable):
     _write(cfg, name, body, [f"reference: {table.reference}", *notes])
 
 
+_MESH_COMMANDS = ("state", "optimize", "conjecture")  # the commands that run on one grid
+
+
 def _grid(cfg: RunConfig, session: StudySession):
     """Data and system of a mesh-bound command: the session's n-division
     grid, with the control bound to its nodes; its mesh is ``sys_.mesh``,
@@ -486,6 +489,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg, session = load_config(args)
+        if cfg.dump_mesh and cfg.command not in _MESH_COMMANDS:
+            raise ConfigError(f"--dump-mesh writes mesh.txt for {', '.join(_MESH_COMMANDS)} "
+                              f"only, not for {cfg.command}")
         return _COMMANDS[cfg.command](cfg, session)
     except (InvalidParameterError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -17,6 +17,10 @@ serves as the optimizer oracle on small meshes.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys as _sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -353,53 +357,126 @@ def check_open_problems(
     takes its nine forms (v, M_H v)_2 from one product of M_H with the
     stacked vectors, and raises InvalidParameterError if a form or margin
     overflows float64.
+
+    The trials are cut at m = trials // 2 into two shares, each solved on a
+    fresh evaluator and each drawing from the seed's generator advanced past
+    the trials before it; :func:`_solve_forked` solves the second share in a
+    forked child when two CPUs are free.  The draws and the evaluator
+    restart do not depend on the CPU count, so neither does the report.  A
+    state solve's NonConvergenceError is raised with ``at trial k: `` before
+    its message, and the first failing trial in serial order raises.
     """
     _check_draws(trials, seed, g_low, g_high)
-    rng = np.random.default_rng(seed)
-    ev = _Evaluator(sys, data, family, solver=solver)
-    m_h = sys.M_H
-    mcost = data.M_cost
-    rows = []
-    witnesses = []
-    for k in range(trials):
-        g1 = rng.uniform(g_low, g_high, sys.mesh.node_count)
-        g2 = rng.uniform(g_low, g_high, sys.mesh.node_count)
-        mu = float(rng.uniform(0.0, 1.0))
-        g3, u1, u2, u3, u4 = _combination_states(ev, g1, g2, mu)
-        if float(np.min(u4)) < -NONNEG_GUARD:
-            raise NonConvergenceError(
-                f"state of the combined control dips below the obstacle at trial {k}",
-                residual=float(np.min(u4)),
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = np.array([u1, g1, u2, g2, u4, g3, g2 - g1, u2 - u1, u3])
-            # dots of contiguous rows: a strided dot sums in another order
-            forms = [_dot(v, w) for v, w in zip(x, (m_h @ x.T).T.copy())]
-            su1, sg1, su2, sg2, su4, sg3, sdg, sdu, su3 = forms
-            j1, j2, j3 = (0.5 * su + 0.5 * mcost * sg
-                          for su, sg in ((su1, sg1), (su2, sg2), (su4, sg3)))
-            gap = mu * j1 + (1.0 - mu) * j2 - j3
-            quad = 0.5 * mcost * mu * (1.0 - mu) * sdg
-            state_quad = 0.5 * mu * (1.0 - mu) * sdu
-            identity_residual = gap - quad - state_quad - 0.5 * (su3 - su4)
-            min_margin = float(np.min(u3 - u4))
-            h_margin = float(np.sqrt(max(su3, 0.0)) - np.sqrt(max(su4, 0.0)))
-        if not np.isfinite([*forms, gap, identity_residual, min_margin, h_margin]).all():
-            raise InvalidParameterError(f"trial {k}: the H-norm forms or margins overflow "
-                                        f"float64; narrow g_low..g_high")
-        rows.append(
-            ConjectureTrial(k, mu, min_margin, h_margin, gap, identity_residual)
-        )
-        for kind, violated in (("pointwise", min_margin < -CONJECTURE_TOL),
-                               ("h_norm", h_margin < -CONJECTURE_TOL),
-                               ("convexity", gap < quad - CONJECTURE_TOL)):
-            if violated:
-                witnesses.append({"trial": k, "kind": kind, "mu": mu, "g1": g1, "g2": g2})
+    nodes = sys.mesh.node_count
+
+    def draw(rng):
+        g1 = rng.uniform(g_low, g_high, nodes)
+        g2 = rng.uniform(g_low, g_high, nodes)
+        return g1, g2, float(rng.uniform(0.0, 1.0))
+
+    def solve(share: range) -> dict:
+        """Trial k -> (its ConjectureTrial, its witnesses), for each k of
+        the share in order."""
+        if not share:
+            return {}
+        rng = np.random.default_rng(seed)
+        for _ in range(share.start):  # the earlier trials' draws, thrown away
+            draw(rng)
+        ev = _Evaluator(sys, data, family, solver=solver)
+        return {k: _trial(ev, k, *draw(rng)) for k in share}
+
+    m = trials // 2
+    results = _solve_forked(range(m), range(m, trials), solve)
+    witnesses = [w for k in range(trials) for w in results[k][1]]
     kinds = [w["kind"] for w in witnesses]
     return ConjectureReport(
-        trials=tuple(rows),
+        trials=tuple(results[k][0] for k in range(trials)),
         pointwise_violations=kinds.count("pointwise"),
         h_norm_violations=kinds.count("h_norm"),
         convexity_violations=kinds.count("convexity"),
         witnesses=tuple(witnesses),
     )
+
+
+def _trial(ev: _Evaluator, k: int, g1: np.ndarray, g2: np.ndarray, mu: float):
+    """The ConjectureTrial of trial k and the list of its witnesses."""
+    try:
+        g3, u1, u2, u3, u4 = _combination_states(ev, g1, g2, mu)
+    except NonConvergenceError as exc:  # the same object: type, residual and best stay
+        exc.args = (f"at trial {k}: {exc}",)
+        raise
+    if float(np.min(u4)) < -NONNEG_GUARD:
+        raise NonConvergenceError(
+            f"state of the combined control dips below the obstacle at trial {k}",
+            residual=float(np.min(u4)),
+        )
+    m_h, mcost = ev.sys.M_H, ev.data.M_cost
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.array([u1, g1, u2, g2, u4, g3, g2 - g1, u2 - u1, u3])
+        # dots of contiguous rows: a strided dot sums in another order
+        forms = [_dot(v, w) for v, w in zip(x, (m_h @ x.T).T.copy())]
+        su1, sg1, su2, sg2, su4, sg3, sdg, sdu, su3 = forms
+        j1, j2, j3 = (0.5 * su + 0.5 * mcost * sg
+                      for su, sg in ((su1, sg1), (su2, sg2), (su4, sg3)))
+        gap = mu * j1 + (1.0 - mu) * j2 - j3
+        quad = 0.5 * mcost * mu * (1.0 - mu) * sdg
+        state_quad = 0.5 * mu * (1.0 - mu) * sdu
+        identity_residual = gap - quad - state_quad - 0.5 * (su3 - su4)
+        min_margin = float(np.min(u3 - u4))
+        h_margin = float(np.sqrt(max(su3, 0.0)) - np.sqrt(max(su4, 0.0)))
+    if not np.isfinite([*forms, gap, identity_residual, min_margin, h_margin]).all():
+        raise InvalidParameterError(f"trial {k}: the H-norm forms or margins overflow "
+                                    f"float64; narrow g_low..g_high")
+    witnesses = [{"trial": k, "kind": kind, "mu": mu, "g1": g1, "g2": g2}
+                 for kind, violated in (("pointwise", min_margin < -CONJECTURE_TOL),
+                                        ("h_norm", h_margin < -CONJECTURE_TOL),
+                                        ("convexity", gap < quad - CONJECTURE_TOL))
+                 if violated]
+    return ConjectureTrial(k, mu, min_margin, h_margin, gap, identity_residual), witnesses
+
+
+def _solve_forked(here, there, solve) -> dict:
+    """``solve(here)`` merged with ``solve(there)``, ``solve`` mapping a share
+    to a dict.  When the CPU affinity mask holds two CPUs or more, os.fork
+    exists and neither share is empty, a forked child solves ``there``;
+    otherwise this process solves both, in that order.  The child pickles one
+    object into a pipe: its dict, or the exception that stopped it.  A
+    failure here is raised at once, and the child is stopped; the child's is
+    raised after all of ``here`` is solved.  So with ``here`` first in serial
+    order, no failure waits for work that serial order would not do before
+    it.  If the child's object does not arrive whole, ``there`` is solved here."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(cpus) < 2 or not hasattr(os, "fork") or not here or not there:
+        return {**solve(here), **solve(there)}
+    _sys.stdout.flush()
+    _sys.stderr.flush()
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child leaves by os._exit on every path, 0 once all is written
+        try:
+            os.close(r)
+            try:
+                shipped = solve(there)
+            except Exception as exc:  # raised by the parent, after its own share
+                shipped = exc
+            payload = pickle.dumps(shipped)
+            with open(w, "wb") as pipe:
+                pipe.write(payload)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            results = solve(here)
+            payload = pipe.read()
+    finally:  # the child has written all it will, or its work is not needed
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    try:
+        shipped = pickle.loads(payload)
+    except Exception:  # killed, out of memory or unpicklable: no whole result
+        return {**results, **solve(there)}
+    if isinstance(shipped, Exception):
+        raise shipped
+    return {**results, **shipped}

@@ -21,17 +21,13 @@ interpolation error enters the tables.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import sys as _sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .assembly import ProblemData, as_control_field, assemble, norm_H, norm_R, norm_V
-from .control import _cost_terms, optimize
+from .control import _cost_terms, _solve_forked, optimize
 from .errors import InsufficientDataError, InvalidParameterError
 from .mesh import (Mesh, ScalarField, _check_divisions, _element_geometry, _nesting_ratio,
                    build_unit_square, interpolate, prolongate)
@@ -309,48 +305,6 @@ def _split(points) -> int:
     return int(np.argmin(np.maximum(work, work[-1] - work))) + 1
 
 
-def _solve_forked(here, there, solve) -> dict:
-    """``solve(here)`` in this process and ``solve(there)`` in a forked child,
-    merged.  The child pickles one object into a pipe: its results, one
-    (J, g values) pair per point, or the exception that stopped it.  A
-    failure here is raised at once, and the child is stopped; the child's is
-    raised after all of ``here`` is solved.  So with ``here`` first in serial
-    order, no failure waits for work that serial order would not do before
-    it.  If the child's object does not arrive whole, ``there`` is solved here."""
-    _sys.stdout.flush()
-    _sys.stderr.flush()
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child leaves by os._exit on every path, 0 once all is written
-        try:
-            os.close(r)
-            try:
-                shipped = solve(there)
-            except Exception as exc:  # raised by the parent, after its own points
-                shipped = exc
-            payload = pickle.dumps(shipped)
-            with open(w, "wb") as pipe:
-                pipe.write(payload)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(w)
-    try:
-        with open(r, "rb") as pipe:
-            results = solve(here)
-            payload = pipe.read()
-    finally:  # the child has written all it will, or its work is not needed
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    try:
-        shipped = pickle.loads(payload)
-    except Exception:  # killed, out of memory or unpicklable: no whole result
-        return {**results, **solve(there)}
-    if isinstance(shipped, Exception):
-        raise shipped
-    return {**results, **shipped}
-
-
 def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
             opt_max_iter: int = 2000) -> DiagramReport:
     """Optimal-control lattice with its three convergence distances.
@@ -361,10 +315,10 @@ def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
     The surrogate corners live on a mesh four times finer than the finest
     measured level (two extra refinements).  Lattice points are solved
     independently, each once, so shared corners reuse identical results.
-    When the CPU affinity mask holds two CPUs or more, one forked child
-    solves the later points, about half the work; outputs and errors do
-    not depend on it (the first failing point in serial order raises),
-    and there is no option.
+    The points are cut where the two sides weigh about the same, and
+    :func:`control._solve_forked` solves the later side in a forked child
+    when two CPUs are free; outputs and errors do not depend on it (the
+    first failing point in serial order raises), and there is no option.
     """
     levels = sorted(int(n) for n in levels)
     alphas = sorted(float(a) for a in alphas)
@@ -395,10 +349,8 @@ def diagram(session: StudySession, levels, alphas, opt_tol: float = 1e-7,
             results[n, alpha] = rep.J_opt, rep.g_opt.values
         return results
 
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     m = _split(points)
-    results = (_solve_forked(points[:m], points[m:], solve)
-               if hasattr(os, "fork") and len(cpus) >= 2 else solve(points))
+    results = _solve_forked(points[:m], points[m:], solve)
 
     def dist(p, q):
         """H-distance of the controls of points p and q, on q's mesh."""

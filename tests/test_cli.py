@@ -86,6 +86,16 @@ def test_dump_mesh_flag(tmp_path):
     assert lines[0] == "nodes 9 triangles 8"
 
 
+@pytest.mark.parametrize("command", ["sweep-h", "sweep-alpha", "diagram", "interp-check"])
+@pytest.mark.parametrize("flag", [["--dump-mesh"], ["--set", "dump_mesh=true"]])
+def test_a_mesh_dump_is_refused_where_no_mesh_is_written(tmp_path, capsys, command, flag):
+    out = tmp_path / "run"
+    assert main([command, "--preset", "contact-v1", *flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("configuration error: --dump-mesh writes mesh.txt for "
+                                       f"state, optimize, conjecture only, not for {command}\n")
+    assert not out.exists()
+
+
 def test_optimize_writes_reports(tmp_path):
     out = tmp_path / "run"
     assert main(["optimize", "--preset", "contact-v1", "--set", "n=4",

@@ -1,3 +1,4 @@
+import os
 from dataclasses import astuple, replace
 from types import SimpleNamespace
 
@@ -292,7 +293,9 @@ def test_conjecture_determinism():
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
 def test_dense_factors_give_the_superlu_conjecture_trials(family, monkeypatch):
     # at n = 16 nearly every block goes dense; DENSE_MAX = 0 sends each one
-    # to SuperLU instead
+    # to SuperLU instead.  One CPU keeps every trial in this process, where
+    # the recording below can see it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     m = build_unit_square(16)
     data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0, g=0.0)
     sys = assemble(m, data)

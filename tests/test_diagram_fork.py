@@ -1,7 +1,7 @@
 """The diagram's lattice points, solved in-process or split with one forked child.
 
-Each path is forced by the CPU affinity mask the diagram reads: {0} keeps
-every solve in this process, {0, 1} forks.
+Each path is forced by the CPU affinity mask the fork runner reads (see
+forking.py): {0} keeps every solve in this process, {0, 1} forks.
 """
 
 import os
@@ -21,38 +21,14 @@ from vicontrol.errors import LineSearchError, NonConvergenceError
 from vicontrol.presets import box_control
 from vicontrol.vi_solver import ROBIN
 
+from forking import CPUS, assert_no_child_left, on_cpus
+
 LEVELS, ALPHAS = [2, 4], [2.0, 4.0]
-CPUS = {"in_process": {0}, "forked": {0, 1}}
 
 
 def contact_session():
     return StudySession(ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0,
                                     g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75)))
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children forked while the test runs."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def on_cpus(monkeypatch, path):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: CPUS[path])
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def report_bytes(rep):
