@@ -131,34 +131,39 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(sum(x[i:i + DOT_RUN] @ y[i:i + DOT_RUN] for i in range(0, x.size, DOT_RUN)))
 
 
-def _scatter(mesh: Mesh, cells: np.ndarray, *local: np.ndarray) -> list[sp.csr_matrix]:
-    """Sum each array of local matrices of the cells (triangles or edges) into
-    a global one, exactly symmetric as they are; sums of exactly 0.0 are not
-    stored.  The (row, col) pattern is converted and sorted once, by the
-    kernels ``coo_matrix(...).tocsr()`` runs, with the entries' positions as
-    values: the sort compares column indices only, so its permutation does
-    not depend on the values.  Each matrix gathers its values by that
-    permutation (cast to intp after the pass, so ``take`` reads it fast and
-    the pass holds no more memory than one ``tocsr``) and scipy sums them, in
-    the order and with the bytes of ``tocsr``.  The pruned arrays are views
-    of the unpruned sum; the copy frees it."""
+def _scatter(mesh: Mesh, cells: np.ndarray,
+             *local: Callable[[], np.ndarray]) -> list[sp.csr_matrix]:
+    """Sum the local matrices of the cells (triangles or edges) that each
+    callable of ``local`` builds into a global one, exactly symmetric as they
+    are; sums of exactly 0.0 are not stored.  The (row, col) pattern is
+    converted and sorted once, by the kernels ``coo_matrix(...).tocsr()``
+    runs, with the entries' positions as intp values, so ``take`` reads them
+    fast: the sort compares column indices only, so its permutation does not
+    depend on the values.  Each matrix gathers its values by that permutation
+    and scipy sums them, in the order and with the bytes of ``tocsr``.  Each
+    local array is built just before its gather and dropped after it, so no
+    two are alive at once."""
     n, k = mesh.node_count, cells.shape[1]
     nnz = cells.size * k
     idx = sp.get_index_dtype(maxval=max(nnz, n))
     c = cells.astype(idx)
-    indptr, indices, perm = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz, idx)
+    indptr, indices, perm = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz, np.intp)
     coo_tocsr(n, n, nnz, np.repeat(c, k, axis=1).ravel(), np.tile(c, k).ravel(),
-              np.arange(nnz, dtype=idx), indptr, indices, perm)
+              np.arange(nnz, dtype=np.intp), indptr, indices, perm)
+    del c
     if not csr_has_sorted_indices(n, indptr, indices):  # as tocsr: every row or none
         csr_sort_indices(n, indptr, indices, perm)
-    perm = perm.astype(np.intp)
-    out = []
-    for vals in local:
-        a = sp.csr_matrix((vals.ravel().take(perm), indices.copy(), indptr.copy()), shape=(n, n))
-        a.sum_duplicates()
-        a.eliminate_zeros()
-        out.append(a.copy())
-    return out
+    return [_summed(sp.csr_matrix((build().ravel().take(perm), indices.copy(), indptr.copy()),
+                                  shape=(n, n)))
+            for build in local]
+
+
+def _summed(a: sp.csr_matrix) -> sp.csr_matrix:
+    """a with its duplicates summed and its zeros dropped.  The pruned arrays
+    may be views of the unpruned ones; the copy frees those."""
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    return a.copy()
 
 
 def _edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
@@ -168,7 +173,7 @@ def _edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
 
 def _gamma1_mass(mesh: Mesh) -> sp.csr_matrix:
     ell = _edge_lengths(mesh, mesh.gamma1_edges)
-    return _scatter(mesh, mesh.gamma1_edges, ell[:, None, None] * _EDGE_TEMPLATE)[0]
+    return _scatter(mesh, mesh.gamma1_edges, lambda: ell[:, None, None] * _EDGE_TEMPLATE)[0]
 
 
 def _flux_value(q: FluxSpec, mid: np.ndarray) -> float:
@@ -238,13 +243,16 @@ def assemble(mesh: Mesh, data: ProblemData | None = None) -> AssembledSystem:
             f"triangle {bad} with nodes {mesh.triangles[bad].tolist()} is degenerate "
             f"(area {area[bad]:.3e})"
         )
-    k_local = (
-        np.einsum("ti,tj->tij", bvec, bvec) + np.einsum("ti,tj->tij", cvec, cvec)
-    ) / (4.0 * area)[:, None, None]
-    m_local = area[:, None, None] * _MASS_TEMPLATE
+
+    def stiffness():  # (b b^T + c c^T) / (4 area), in place
+        k_local = np.einsum("ti,tj->tij", bvec, bvec)
+        k_local += np.einsum("ti,tj->tij", cvec, cvec)
+        k_local /= (4.0 * area)[:, None, None]
+        return k_local
 
     b = 1.0 if data is None else data.b
-    K, M_H = _scatter(mesh, mesh.triangles, k_local, m_local)
+    K, M_H = _scatter(mesh, mesh.triangles, stiffness,
+                      lambda: area[:, None, None] * _MASS_TEMPLATE)
     return AssembledSystem(
         mesh=mesh,
         K=K, M_H=M_H,

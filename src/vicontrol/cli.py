@@ -208,12 +208,16 @@ def _number_list(spec: str, key: str, kind=float):
         raise ConfigError(f"bad {kind.__name__} list for {key}: {spec!r}") from None
 
 
+_MESH_COMMANDS = ("state", "optimize", "conjecture")  # the commands that run on one grid
+
+
 def _session(cfg: RunConfig) -> StudySession:
     """The StudySession of the run: its data, gamma1, solver and tol.  A
-    file control is nodal values, which the lattice studies cannot bind."""
+    file control is nodal values, which only a command on one grid binds:
+    the lattice studies and ``interp-check`` refuse it."""
     g = _parse_g(cfg.g)
     data = ProblemData(alpha=cfg.alpha, b=cfg.b, q=_parse_q(cfg.q), M_cost=cfg.M, g=g)
-    if isinstance(g, np.ndarray) and cfg.command in ("sweep-h", "sweep-alpha", "diagram"):
+    if isinstance(g, np.ndarray) and cfg.command not in _MESH_COMMANDS:
         raise ConfigError("file controls require a mesh-bound command")
     return StudySession(data, cfg.gamma1, cfg.solver, cfg.tol)
 
@@ -258,9 +262,6 @@ def _write_rate_csv(cfg: RunConfig, name: str, table: convergence.RateTable):
         body.append(f"{table.parameter},{_fmt(value)},{_fmt(error)},{tag}")
     notes = [table.note] if table.note else []
     _write(cfg, name, body, [f"reference: {table.reference}", *notes])
-
-
-_MESH_COMMANDS = ("state", "optimize", "conjecture")  # the commands that run on one grid
 
 
 def _grid(cfg: RunConfig, session: StudySession):

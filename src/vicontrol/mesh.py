@@ -311,6 +311,16 @@ def _prolongation(nc: int, ratio: int = 2) -> sp.csr_matrix:
     return P
 
 
+@lru_cache(maxsize=16)
+def _restriction(nc: int) -> sp.csr_matrix:
+    """The transpose of ``_prolongation(nc, 2)`` in CSR form, column indices
+    sorted in each row; built once, shared and read-only as P is."""
+    R = _prolongation(nc, 2).T.tocsr()
+    for arr in (R.data, R.indices, R.indptr):
+        arr.flags.writeable = False
+    return R
+
+
 def _element_geometry(mesh: Mesh):
     """Per triangle: the P1 gradient coefficient vectors b and c (grad
     phi_i = (b_i, c_i) / (2 area)) and the signed area."""
@@ -366,15 +376,23 @@ def format_rows(fmt: str, *columns: np.ndarray) -> str:
     row joined by newlines ("" for no rows).  One ``%`` formats the whole
     block from one flat ``tolist``, so ``%.17g`` prints a float round-trip.
     In a float table, each column's piece of ``fmt`` (its conversion and the
-    text up to the next) formats each distinct value once, told apart by bit
-    pattern (0.0 and -0.0 print apart), and the pieces are joined: same bytes."""
+    text up to the next, the last one's ending in a newline) formats each
+    distinct value once, told apart by bit pattern (0.0 and -0.0 print
+    apart), by one ``%`` over the piece repeated with NUL between, split at
+    the NULs; the pieces are joined once: same bytes.  Such an ``fmt`` may
+    hold no NUL."""
     table = np.column_stack(columns)
-    if table.dtype == np.float64:
-        cuts = [m.start() for m in re.finditer("%%?", fmt) if m[0] == "%"][1:]
-        pieces = np.empty(table.shape, dtype=object)
-        for j, a, b in zip(range(table.shape[1]), [0] + cuts, cuts + [None], strict=True):
-            bits, inv = np.unique(table[:, j].view(np.uint64), return_inverse=True)
-            pieces[:, j] = np.array([fmt[a:b] % v for v in bits.view(np.float64).tolist()],
-                                    dtype=object)[inv]
-        fmt, table = "%s" * table.shape[1], pieces
-    return "\n".join([fmt] * table.shape[0]) % tuple(table.ravel().tolist())
+    if table.dtype != np.float64:
+        return "\n".join([fmt] * table.shape[0]) % tuple(table.ravel().tolist())
+    if "\0" in fmt:
+        raise ValueError("a float table's format may hold no NUL character")
+    cuts = [m.start() for m in re.finditer("%%?", fmt) if m[0] == "%"][1:]
+    pieces = [fmt[a:b] for a, b in zip([0] + cuts, cuts + [None])]
+    pieces[-1] += "\n"
+    text = np.empty(table.shape, dtype=object)
+    for j, piece in zip(range(table.shape[1]), pieces, strict=True):
+        bits, inv = np.unique(table[:, j].view(np.uint64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        once = ("\0".join([piece] * len(values)) % tuple(values)).split("\0")
+        text[:, j] = np.array(once, dtype=object)[inv]
+    return "".join(text.ravel().tolist())[:-1]

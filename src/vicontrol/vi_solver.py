@@ -64,7 +64,7 @@ from .errors import (
     MatrixError,
     NonConvergenceError,
 )
-from .mesh import Mesh, _prolongation, _same_mesh
+from .mesh import Mesh, _prolongation, _restriction, _same_mesh
 
 ROBIN = "robin"
 DIRICHLET_LIMIT = "dirichlet_limit"
@@ -212,8 +212,10 @@ class _Operator:
     @cached_property
     def ell(self) -> tuple:
         """a_ff, duplicates summed, in padded rows: N x w column indices and
-        values, w its longest row, padded by zeros at the dummy column N."""
-        a = self.a_ff.tocoo().tocsr()
+        values, w its longest row, padded by zeros at the dummy column N.  A
+        canonical a_ff (every assembled or cut one) is read as it is: the
+        COO round trip would return its arrays."""
+        a = self.a_ff if self.a_ff.has_canonical_format else self.a_ff.tocoo().tocsr()
         real = np.arange(np.diff(a.indptr).max(initial=0)) < np.diff(a.indptr)[:, None]
         cols, vals = np.full(real.shape, a.shape[0]), np.zeros(real.shape)
         cols[real], vals[real] = a.indices, a.data
@@ -591,17 +593,35 @@ def _coarse_contact(p: VIProblem, tol: float) -> np.ndarray | None:
         on_grid = np.isin(p.dirichlet_nodes, keep)
         nodes = np.searchsorted(keep, p.dirichlet_nodes[on_grid])
         values = p.dirichlet_values[on_grid]
-    pc = VIProblem(A=(P.T @ p.A @ P).tocsr(), F=P.T @ p.F, lower_bound=p.lower_bound[keep],
+    pc = VIProblem(A=_galerkin(p.A, nc), F=P.T @ p.F, lower_bound=p.lower_bound[keep],
                    dirichlet_nodes=nodes, dirichlet_values=values, division_count=nc)
     try:
         u_c = _solve(pc, "active_set", tol)
     except (NonConvergenceError, InvalidParameterError):
         return None
     free, a_ff, f_f, lb_f = _free_split(p)
+    diag = p._operator.diag
     u_f = np.maximum(lb_f, (P @ u_c.values())[free])
-    for _ in range(SMOOTH_SWEEPS):
-        u_f = np.maximum(lb_f, u_f + JACOBI_OMEGA * (f_f - _matvec(a_ff, u_f)) / p._operator.diag)
+    for _ in range(SMOOTH_SWEEPS):  # max(l, u + omega (f - A u) / d), in place
+        t = _matvec(a_ff, u_f)
+        np.subtract(f_f, t, out=t)
+        t *= JACOBI_OMEGA
+        t /= diag
+        t += u_f
+        np.maximum(lb_f, t, out=u_f)
     return free[_matvec(a_ff, u_f) - f_f > u_f - lb_f]
+
+
+def _galerkin(a: sp.csr_matrix, nc: int) -> sp.csr_matrix:
+    """P^T a P, P the prolongation from the nc grid, as R @ a @ P with R =
+    P^T in CSR form, indices sorted: the bytes of ``(P.T @ a @ P).tocsr()``.
+    Its CSC products sum each entry over k ascending, so R @ a, whose rows
+    the product leaves unsorted, is sorted before it meets P."""
+    ra = _restriction(nc) @ a
+    ra.sort_indices()
+    out = ra @ _prolongation(nc, 2)
+    out.sort_indices()
+    return out
 
 
 SOLVERS = ("active_set", "psor")

@@ -425,6 +425,7 @@ def test_bad_control_input_exits_2(tmp_path, capsys, g):
     ("conjecture", "trials=0", "trials must be >= 1"),
     ("sweep-h", "levels=4,x", "bad int list for levels: '4,x'"),
     ("sweep-h", "g=file:{control}", "file controls require a mesh-bound command"),
+    ("interp-check", "g=file:{control}", "file controls require a mesh-bound command"),
 ])
 def test_a_bad_setting_exits_2_with_its_message(tmp_path, capsys, command, setting, message):
     control = tmp_path / "g.txt"

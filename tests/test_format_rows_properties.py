@@ -57,3 +57,23 @@ def test_integer_tables_print_as_one_percent_printed(data, table):
     fmt = data.draw(formats(table.shape[1], ["%d"]))
     assert format_rows(fmt, table) == one_percent(fmt, table)
 
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(data=st.data(),
+                  values=st.lists(st.floats(width=64) | st.sampled_from(SPECIAL), max_size=12,
+                                  unique_by=lambda v: np.float64(v).tobytes()))
+def test_a_distinct_float_column_beside_a_percent_literal_and_a_d_column(data, values):
+    """Every value of the float column is distinct, so each is formatted
+    once; the counter column is %d, a %% literal beside it."""
+    distinct, counter = np.array(values, dtype=float), np.arange(len(values))
+    spec = data.draw(st.sampled_from(["%.17g", "%g", "%r"]))
+    for fmt, columns in [(f"%d%%,{spec}", (counter, distinct)),
+                         (f"%%%d {spec}", (counter, distinct)),
+                         (f"{spec},%d%%", (distinct, counter)),
+                         (f"%%{spec}%%%d%%", (distinct, counter))]:
+        assert format_rows(fmt, *columns) == one_percent(fmt, *columns)
+
+
+def test_a_float_format_with_a_nul_is_refused():
+    with pytest.raises(ValueError):
+        format_rows("%g\0%g", np.ones((2, 2)))

@@ -96,7 +96,7 @@ def test_scatter_gives_the_bytes_of_coo_tocsr(seed, n, k, distinct):
     wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
     wide[rng.random(shape) < 0.1] = -0.0
     ints = rng.integers(-1, 2, shape).astype(float)
-    got = _scatter(SimpleNamespace(node_count=n), cells, wide, ints)
+    got = _scatter(SimpleNamespace(node_count=n), cells, lambda: wide, lambda: ints)
     rows, cols = np.repeat(cells, k, axis=1).ravel(), np.tile(cells, k).ravel()
     for a, vals in zip(got, (wide, ints)):
         ref = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()

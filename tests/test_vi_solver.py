@@ -559,6 +559,32 @@ def _block_test_operators():
     return [q._operator for q in _block_test_problems()]
 
 
+def _ell_rows(op):
+    """The (columns, values, row lengths) that ``op.ell`` stores, padding cut off."""
+    cols, vals = op.ell
+    real = cols < op.a_ff.shape[0]
+    assert not vals[~real].any()
+    return cols[real], vals[real], real.sum(axis=1)
+
+
+def test_ell_of_a_canonical_matrix_holds_the_arrays_of_its_coo_round_trip():
+    *canonical, skew = _block_test_problems()
+    a = skew.A  # stored in reverse column order, and a copy storing each entry twice, halved
+    twice = np.concatenate([np.tile(r, 2) for r in np.split(np.arange(a.nnz), a.indptr[1:-1])])
+    split = replace(skew, A=sp.csr_matrix((0.5 * a.data[twice], a.indices[twice], 2 * a.indptr),
+                                          shape=a.shape))
+    for k, p in enumerate(canonical + [skew, split]):
+        op = p._operator
+        assert op.a_ff.has_canonical_format == (k < len(canonical))
+        ref = op.a_ff.tocoo().tocsr()
+        cols, vals, lengths = _ell_rows(op)
+        assert cols.tobytes() == ref.indices.astype(cols.dtype).tobytes()
+        assert vals.tobytes() == ref.data.tobytes()
+        assert (lengths == np.diff(ref.indptr)).all()
+    for got, want in zip(_ell_rows(split._operator), _ell_rows(skew._operator)):
+        assert got.tobytes() == want.tobytes()  # the duplicates are summed
+
+
 def test_factor_hands_splu_the_fancy_indexed_inactive_block(monkeypatch):
     blocks = []
 
@@ -821,6 +847,38 @@ def test_prolongation_matrix_is_prolongate(nc):
     u = np.random.default_rng(nc).standard_normal((nc + 1) ** 2)
     fine = prolongate(ScalarField(build_unit_square(nc), u), build_unit_square(2 * nc))
     assert (_prolongation(nc) @ u).tobytes() == fine.values.tobytes()
+
+
+def _assert_galerkin_bytes(fine, coarse, nc):
+    P = _prolongation(nc)
+    want = (P.T @ fine @ P).tocsr()
+    assert coarse.has_sorted_indices and want.has_sorted_indices
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(coarse, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+@pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
+def test_each_galerkin_problem_of_the_chain_has_the_bytes_of_the_csc_products(family,
+                                                                               monkeypatch):
+    problems, solve = [], vi_solver._solve
+    monkeypatch.setattr(vi_solver, "_solve",
+                        lambda p, *args, **kw: problems.append(p) or solve(p, *args, **kw))
+    m, sys, data = contact_problem(n=128, alpha=0.37, b=1.3,
+                                   g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
+    vi_solver.solve_state(m, sys, data, family)
+    assert [p.division_count for p in problems] == [128, 64, 32, 16, 8]
+    for fine, coarse in zip(problems, problems[1:]):
+        _assert_galerkin_bytes(fine.A, coarse.A, coarse.division_count)
+
+
+@pytest.mark.parametrize("nc", [8, 16, 32, 64])
+def test_galerkin_sums_each_entry_as_the_csc_products_do(nc):
+    # entries jittered off the grid's dyadic values, so the order of a sum shows
+    m, sys, data = contact_problem(n=2 * nc, alpha=0.37)
+    a = build_vi_problem(m, sys, data, ROBIN).A.copy()
+    a.data *= 1.0 + 1e-3 * np.random.default_rng(nc).standard_normal(a.nnz)
+    _assert_galerkin_bytes(a, vi_solver._galerkin(a, nc), nc)
 
 
 @pytest.mark.parametrize("family", [ROBIN, DIRICHLET_LIMIT])
