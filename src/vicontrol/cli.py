@@ -441,9 +441,8 @@ def cmd_conjecture(cfg: RunConfig, session: StudySession) -> int:
 
 def cmd_interp_check(cfg: RunConfig, session: StudySession) -> int:
     levels = _number_list(cfg.interp_levels, "interp_levels", int)
-    tables = convergence.interp_rate_study(
-        lambda x, y: x * x, lambda x, y: (2.0 * x, 0.0), levels, cfg.gamma1
-    )
+    tables = convergence.interp_rate_study(lambda x, y: x * x, lambda x, y: (2.0 * x, 0.0),
+                                           levels)
     _write_rate_csv(cfg, "interp_l2.csv", tables["H"])
     _write_rate_csv(cfg, "interp_v.csv", tables["V"])
     o_h, o_v = tables["H"].fitted_order, tables["V"].fitted_order

@@ -30,7 +30,7 @@ from .assembly import ProblemData, as_control_field, assemble, norm_H, norm_R, n
 from .control import _cost_terms, _solve_forked, optimize
 from .errors import InsufficientDataError, InvalidParameterError
 from .mesh import (Mesh, ScalarField, _check_divisions, _element_geometry, _nesting_ratio,
-                   build_unit_square, interpolate, prolongate)
+                   _normalize_sides, build_unit_square, interpolate, prolongate)
 from .vi_solver import DEFAULT_TOL, DIRICHLET_LIMIT, ROBIN, solve_state
 
 ZERO_NOTE = "zero errors excluded from fit"
@@ -138,7 +138,8 @@ def strictly_decreasing(values) -> bool:
 class StudySession:
     """Assembled grids and cached state solves for one data set.
 
-    The session is the one home of a study's data, gamma1, solver and tol.
+    The session is the one home of a study's data, gamma1, solver and tol;
+    an unknown or empty gamma1 raises here, before any grid is built.
     States are cached by their lattice point (n, alpha), so sweeps that
     share a point reuse the identical solution vector bitwise.
     """
@@ -146,7 +147,7 @@ class StudySession:
     def __init__(self, data: ProblemData, gamma1="bottom", solver="active_set",
                  tol: float = DEFAULT_TOL):
         self.data = data
-        self.gamma1 = gamma1
+        self.gamma1 = _normalize_sides(gamma1)
         self.solver = solver
         self.tol = tol
         self._grid = {}
@@ -408,18 +409,19 @@ def _interp_errors(mesh: Mesh, f, grad_f) -> tuple[float, float]:
     return math.sqrt(max(err_l2, 0.0)), math.sqrt(max(err_h1, 0.0))
 
 
-def interp_rate_study(f, grad_f, levels, gamma1="bottom") -> dict[str, RateTable]:
+def interp_rate_study(f, grad_f, levels) -> dict[str, RateTable]:
     """Interpolation error orders of a smooth function over mesh levels.
 
     Returns tables keyed "H" (L2 error, expected order 2 for smooth f) and
-    "V" (full H1 error, expected order 1).
+    "V" (full H1 error, expected order 1).  The errors do not depend on the
+    boundary tags, so the meshes take the default gamma1.
     """
     levels = [int(n) for n in levels]
     if not levels:
         raise InvalidParameterError("interpolation study needs at least one level")
     rows_h, rows_v = [], []
     for n in levels:
-        mesh = build_unit_square(n, gamma1)
+        mesh = build_unit_square(n)
         e_l2, e_h1 = _interp_errors(mesh, f, grad_f)
         e_v = math.sqrt(e_l2 * e_l2 + e_h1 * e_h1)
         rows_h.append((mesh.h, e_l2, "H"))

@@ -324,8 +324,7 @@ def _restriction(nc: int) -> sp.csr_matrix:
 def _element_geometry(mesh: Mesh):
     """Per triangle: the P1 gradient coefficient vectors b and c (grad
     phi_i = (b_i, c_i) / (2 area)) and the signed area."""
-    p = mesh.nodes[mesh.triangles]
-    x, y = p[:, :, 0], p[:, :, 1]
+    x, y = (mesh.nodes[:, k][mesh.triangles] for k in (0, 1))
     bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     area = 0.5 * (x[:, 0] * bvec[:, 0] + x[:, 1] * bvec[:, 1] + x[:, 2] * bvec[:, 2])

@@ -14,18 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 
 @dataclass(frozen=True)
 class Box:
     """Indicator control: ``value`` on the closed box [x0, x1] x [y0, y1], else 0,
     built as ``box_control(value, x0, x1, y0, y1)``.  A call on a point and
-    :meth:`at` on coordinate arrays read one predicate, :meth:`holds`."""
+    :meth:`at` on coordinate arrays read one predicate, :meth:`holds`.  A NaN
+    bound, which every comparison would read as false, is refused; an
+    infinite one leaves that side open."""
 
     value: float
     x0: float
     x1: float
     y0: float
     y1: float
+
+    def __post_init__(self):
+        for name in ("x0", "x1", "y0", "y1"):
+            if np.isnan(getattr(self, name)):
+                raise InvalidParameterError(f"box control bound {name} is nan")
 
     def holds(self, x, y):
         return (self.x0 <= x) & (x <= self.x1) & (self.y0 <= y) & (y <= self.y1)

@@ -154,8 +154,8 @@ class _Operator:
     dirichlet_values; ``template`` is a full vector holding the pinned
     values; ``lu`` is the LU factor of a_ff on the nodes outside the last
     active mask factored, whose bytes are ``key``; ``zero_bound``, that the
-    obstacle is 0 on every free node.  Blocks are cut from ``csc``
-    or gathered dense from ``ell``, copies of a_ff made on first use, and
+    obstacle is 0 on every free node.  Blocks are cut from a_ff or
+    gathered dense from ``ell``, a copy of a_ff made on first use, and
     PSOR sweeps ``psor_layout``, a_ff with each colour class contiguous
     (red-black by grid parity when p carries its division count).
     """
@@ -194,11 +194,6 @@ class _Operator:
             a_c.indices[:] = place.take(a_c.indices)
         return classes, perm, rows
 
-    @cached_property
-    def csc(self) -> sp.csc_matrix:
-        """a_ff in CSC form, row indices sorted within each column."""
-        return self.a_ff.tocsc()
-
     def free_mask(self, nodes) -> np.ndarray:
         """Which free nodes lie in the node set ``nodes`` (full indices)."""
         mask = np.zeros(self.template.size, dtype=bool)
@@ -206,8 +201,8 @@ class _Operator:
         return mask[self.free]
 
     def block(self, active: np.ndarray) -> sp.csc_matrix:
-        """a_ff on the nodes outside ``active``, cut from ``csc``."""
-        return _cut(self.csc, ~active)
+        """a_ff on the nodes outside ``active``, in CSC form."""
+        return _cut(self.a_ff, ~active).tocsc()
 
     @cached_property
     def ell(self) -> tuple:
@@ -287,7 +282,7 @@ class _Bordered:
         pos[freed] = m + np.arange(s)  # place in the bordered system, else -1
         self.src, self.pin = pos[~active], pos[pinned]
         C = np.zeros((m + k, k), order="F")  # [a_ff[I0, S], e_R] over E = [a_ff[S, S], 0]
-        C[:m + s, :s] = op.csc[:, freed][np.append(idx0, freed)].toarray()
+        C[:m + s, :s] = op.a_ff[:, freed][np.append(idx0, freed)].toarray()
         C[self.pin, np.arange(s, k)] = 1.0
         self.D, self.W = op.a_ff[freed][:, idx0], self.base.solve(C[:m])
         self.schur = _DenseLU(C[m:] - self._border(self.W))
@@ -390,6 +385,20 @@ def _grid_classes(a: sp.csr_matrix, free: np.ndarray, n: int) -> list[np.ndarray
     return [c for c in (np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)) if c.size]
 
 
+def _relax(blocks, u: np.ndarray, omega: float) -> None:
+    """One projected relaxation sweep of u: each block (u_c, a_c, f_c, d_c,
+    l_c), in order, takes u_c = max(l_c, u_c + omega ((f_c - a_c u) / d_c)) in
+    place, u_c a view of u, so later blocks read its new values.  Colour
+    classes make a Gauss-Seidel sweep; one block of every node, Jacobi."""
+    for u_c, a_c, f_c, d_c, lb_c in blocks:
+        t = _matvec(a_c, u)
+        np.subtract(f_c, t, out=t)
+        t /= d_c
+        t *= omega
+        t += u_c
+        np.maximum(lb_c, t, out=u_c)
+
+
 def solve_psor(
     p: VIProblem,
     tol: float = DEFAULT_TOL,
@@ -428,13 +437,7 @@ def solve_psor(
     while iters < max_iter and not (res <= tol and est <= tol):
         iters += 1
         u_old = u_p.copy()
-        for u_c, a_c, f_c, d_c, lb_c in blocks:  # max(l, u + omega ((f - A u) / d)), in place
-            t = _matvec(a_c, u_p)
-            np.subtract(f_c, t, out=t)
-            t /= d_c
-            t *= omega
-            t += u_c
-            np.maximum(lb_c, t, out=u_c)
+        _relax(blocks, u_p, omega)
         prev, step = step, float(np.abs(u_p - u_old).max(initial=0.0))
         rho = step / prev if step else 0.0
         est = step * rho / (1.0 - rho) if rho < 1.0 else np.inf
@@ -600,15 +603,10 @@ def _coarse_contact(p: VIProblem, tol: float) -> np.ndarray | None:
     except (NonConvergenceError, InvalidParameterError):
         return None
     free, a_ff, f_f, lb_f = _free_split(p)
-    diag = p._operator.diag
     u_f = np.maximum(lb_f, (P @ u_c.values())[free])
-    for _ in range(SMOOTH_SWEEPS):  # max(l, u + omega (f - A u) / d), in place
-        t = _matvec(a_ff, u_f)
-        np.subtract(f_f, t, out=t)
-        t *= JACOBI_OMEGA
-        t /= diag
-        t += u_f
-        np.maximum(lb_f, t, out=u_f)
+    every = [(u_f, a_ff, f_f, p._operator.diag, lb_f)]  # one block: a Jacobi sweep
+    for _ in range(SMOOTH_SWEEPS):
+        _relax(every, u_f, JACOBI_OMEGA)
     return free[_matvec(a_ff, u_f) - f_f > u_f - lb_f]
 
 

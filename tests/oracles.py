@@ -350,6 +350,40 @@ def reference_psor(p, tol=1e-10, max_iter=100_000):
     return full, iters, res
 
 
+def reference_nested_contact(p, tol=1e-10):
+    """The nested start's contact set of p (n = p.division_count even, n / 2
+    >= NESTED_MIN), read off as the solver did before its smoother became a
+    one-block projected sweep: the Galerkin VI (P^T A P, P^T F) on the n / 2
+    grid, cut on the fine grid's even nodes, solved by the active-set method
+    from its own reference nested start, prolonged, then SMOOTH_SWEEPS damped
+    projected-Jacobi sweeps that multiply by JACOBI_OMEGA before they divide
+    by the diagonal, and the active-set rule.  Shares the free-node
+    reduction and the prolongation with the solver."""
+    from vicontrol.vi_solver import (JACOBI_OMEGA, NESTED_MIN, SMOOTH_SWEEPS, VIProblem,
+                                     _prolongation, solve_active_set)
+
+    n = p.division_count
+    nc = n // 2
+    P = _prolongation(nc, 2)
+    keep = np.flatnonzero((np.arange(n + 1)[:, None] % 2 == 0) & (np.arange(n + 1) % 2 == 0))
+    nodes = values = None
+    if p.dirichlet_nodes is not None:
+        on_grid = np.isin(p.dirichlet_nodes, keep)
+        nodes = np.searchsorted(keep, p.dirichlet_nodes[on_grid])
+        values = p.dirichlet_values[on_grid]
+    pc = VIProblem(A=(P.T @ p.A @ P).tocsr(), F=P.T @ p.F, lower_bound=p.lower_bound[keep],
+                   dirichlet_nodes=nodes, dirichlet_values=values, division_count=nc)
+    start = reference_nested_contact(pc, tol) if nc % 2 == 0 and nc // 2 >= NESTED_MIN else None
+    u_c = solve_active_set(pc, tol, initial_active=start).values()
+    op = p._operator
+    a_ff, lb_f = op.a_ff, op.lb_f
+    f_f = p.F[op.free] - op.shift
+    u_f = np.maximum(lb_f, (P @ u_c)[op.free])
+    for _ in range(SMOOTH_SWEEPS):
+        u_f = np.maximum(lb_f, u_f + JACOBI_OMEGA * (f_f - a_ff @ u_f) / op.diag)
+    return op.free[a_ff @ u_f - f_f > u_f - lb_f]
+
+
 def reference_conjecture_trials(sys, data, trials, seed=0, family="robin",
                                 g_low=-30.0, g_high=10.0, solver="active_set"):
     """The trials of ``control.check_open_problems`` with each H-form taken

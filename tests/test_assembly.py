@@ -374,6 +374,18 @@ def test_a_box_control_on_all_nodes_is_its_value_at_each_node():
             assert on_edge.tobytes() == np.float64(value).tobytes()  # the closed box holds it
 
 
+def test_a_box_control_refuses_a_nan_bound_and_keeps_infinite_ones():
+    nan, inf = float("nan"), float("inf")
+    for k, name in enumerate(("x0", "x1", "y0", "y1")):
+        bounds = [0.25, 0.75, 0.25, 0.75]
+        bounds[k] = nan
+        with pytest.raises(InvalidParameterError, match=f"box control bound {name} is nan"):
+            box_control(-20.0, *bounds)
+    m = build_unit_square(4)
+    whole = as_control_field(m, box_control(-20.0, -inf, inf, -inf, inf)).values
+    assert (whole == -20.0).all()
+
+
 def test_dot_is_the_blas_dot_up_to_one_run():
     rng = np.random.default_rng(0)
     for size in (1, 3, 1000, DOT_RUN - 1, DOT_RUN):

@@ -246,6 +246,29 @@ def test_interp_check_with_too_few_levels(tmp_path, capsys, levels, expected):
         assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("command", ["state", "optimize", "sweep-h", "sweep-alpha", "diagram",
+                                     "conjecture", "interp-check"])
+@pytest.mark.parametrize("gamma1, message", [("middle", "unknown boundary side 'middle'"),
+                                             (",", "gamma1 must cover at least one side")])
+def test_a_bad_gamma1_exits_2_for_every_command(tmp_path, capsys, command, gamma1, message):
+    # the session checks gamma1 once, so a command that builds no tagged
+    # mesh (interp-check) refuses it as the others do
+    out = tmp_path / "run"
+    assert main([command, "--set", f"gamma1={gamma1}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+def test_interp_check_tables_do_not_depend_on_gamma1(tmp_path):
+    runs = [tmp_path / "bottom", tmp_path / "left_top"]
+    for gamma1, out in zip(["bottom", "left,top"], runs):
+        assert main(["interp-check", "--set", f"gamma1={gamma1}", "--out", str(out)]) == 0
+    for name in ("interp_l2.csv", "interp_v.csv", "summary.txt"):
+        a, b = ([ln for ln in (r / name).read_text().splitlines() if not ln.startswith("#")]
+                for r in runs)
+        assert a == b, name
+
+
 def test_control_from_file(tmp_path):
     vals = np.linspace(-3.0, 1.0, 9)
     path = tmp_path / "g.txt"
@@ -321,6 +344,18 @@ def test_a_non_finite_box_control_exits_2_naming_its_first_node(tmp_path, capsys
                  "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "state.csv").exists()
+
+
+@pytest.mark.parametrize("box, name", [("box:-20:nan:0.75:0.25:0.75", "x0"),
+                                       ("box:-20:0.25:0.75:0.25:nan", "y1")])
+def test_a_box_control_with_a_nan_bound_exits_2(tmp_path, capsys, box, name):
+    # every comparison with NaN is false, so the box would hold no node and
+    # the state would run with g = 0
+    out = tmp_path / "run"
+    code = main(["state", "--set", "n=4", "--set", f"g={box}", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: box control bound {name} is nan\n"
     assert not (out / "state.csv").exists()
 
 

@@ -13,7 +13,10 @@ refusal is one stderr line; state.csv and report.txt hold no ``nan`` or
 ``inf``.  An optimize on drawn n, tolerances, data, control, gamma1,
 family, solver and method exits 0, 2 or 3 and raises nothing; a refusal is
 one stderr line; g_opt.csv, history.csv and report.txt hold no ``nan`` or
-``inf``.
+``inf``.  A sweep-h on drawn levels, alpha, tol, data, control, gamma1 and
+solver, and an interp-check on drawn levels, data, control and gamma1, exit
+0, 2, 3 or 4 and raise nothing; a refusal is one stderr line; their rate
+tables and summary.txt hold no ``nan`` or ``inf``.
 """
 
 import math
@@ -262,3 +265,101 @@ def test_an_optimize_keeps_the_exit_code_contract(tmp_path_factory, capsys, sets
     for name in ("g_opt.csv", "history.csv", "report.txt"):
         text = (out / name).read_text()
         assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), (argv, name, text)
+
+
+def _keeps_the_contract(argv, capsys, out, names):
+    """Run argv; exit 0, 2, 3 or 4, nothing raised, a refusal one stderr
+    line, and no ``nan`` or ``inf`` in the named files of a finished run."""
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code in (2, 3):
+        assert err.count("\n") == 1, err
+        assert err.startswith(("configuration error:", "solver failure:")), err
+        return
+    assert err == ""
+    for name in names:
+        text = (out / name).read_text()
+        assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), (argv, name, text)
+
+
+# Levels: the finest f of 6, 8 or 12 divisions and three or four coarser
+# divisors of the reference grid's 2 f, so every level nests in it; or, in
+# one draw of four, three to five distinct divisions of 1-12 in any order,
+# which are mostly refused.  Alpha, tol and the PSOR limits are those of
+# the state slice.
+@st.composite
+def sweep_h_settings(draw):
+    solver = draw(st.sampled_from(["active_set", "psor"]))
+    psor = solver == "psor"
+    if draw(st.integers(0, 3)):
+        f = draw(st.sampled_from([6, 8, 12]))
+        coarser = [d for d in range(1, f) if 2 * f % d == 0]
+        levels = sorted(draw(st.lists(st.sampled_from(coarser), min_size=3, max_size=4,
+                                      unique=True))) + [f]
+    else:
+        levels = draw(st.lists(st.integers(1, 12), min_size=3, max_size=5, unique=True))
+    box = draw(st.tuples(st.floats(-30.0, 30.0), *[st.floats(0.0, 1.0)] * 4))
+    value = MODERATE if psor else WIDE
+    g = draw(st.one_of(value.map(number), st.just("box:" + ":".join(map(number, box)))))
+    gamma1 = draw(st.lists(st.sampled_from(SIDES), min_size=1, max_size=4, unique=True))
+    b, m = (1.0, 1.0) if psor else (draw(POSITIVE), draw(POSITIVE))
+    q = 1.0 if psor else draw(FLUX)
+    return [
+        f"levels={','.join(map(str, levels))}",
+        f"alpha={number(10.0 ** draw(st.floats(-1.0 if psor else -3.0, 4.0)))}",
+        f"tol={number(10.0 ** draw(st.floats(-12.0, -4.0)))}",
+        f"b={number(b)}",
+        f"q={number(q)}",
+        f"M={number(m)}",
+        f"g={g}",
+        f"gamma1={','.join(gamma1)}",
+        f"solver={solver}",
+    ]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(sets=sweep_h_settings())
+def test_a_sweep_h_keeps_the_exit_code_contract(tmp_path_factory, capsys, sets):
+    argv = ["sweep-h"] + [a for s in sets for a in ("--set", s)]
+    _keeps_the_contract(argv, capsys, tmp_path_factory.mktemp("sweep_h"),
+                        ("rate_h_state.csv", "rate_h_cost.csv", "summary.txt"))
+
+
+# Levels: one to five distinct divisions of 1-12, ascending, descending or
+# as drawn; in one draw of six a repeat among them, in another a division of
+# -1 or 0.  The data and control are parsed but not read: the tables
+# interpolate x^2.
+@st.composite
+def interp_settings(draw):
+    size = draw(st.integers(1, 5))
+    levels = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size, unique=True))
+    order = draw(st.sampled_from(["ascending", "descending", "drawn"]))
+    if order != "drawn":
+        levels.sort(reverse=order == "descending")
+    flaw = draw(st.integers(0, 5))
+    if flaw < 2:
+        extra = draw(st.sampled_from([-1, 0] if flaw else levels))
+        levels.insert(draw(st.integers(0, len(levels))), extra)
+    box = draw(st.tuples(st.floats(-30.0, 30.0), *[st.floats(0.0, 1.0)] * 4))
+    g = draw(st.one_of(WIDE.map(number), st.just("box:" + ":".join(map(number, box)))))
+    gamma1 = draw(st.lists(st.sampled_from(SIDES), min_size=1, max_size=4, unique=True))
+    return [
+        f"interp_levels={','.join(map(str, levels))}",
+        f"b={number(draw(POSITIVE))}",
+        f"q={number(draw(FLUX))}",
+        f"M={number(draw(POSITIVE))}",
+        f"g={g}",
+        f"gamma1={','.join(gamma1)}",
+    ]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(sets=interp_settings())
+def test_an_interp_check_keeps_the_exit_code_contract(tmp_path_factory, capsys, sets):
+    argv = ["interp-check"] + [a for s in sets for a in ("--set", s)]
+    _keeps_the_contract(argv, capsys, tmp_path_factory.mktemp("interp"),
+                        ("interp_l2.csv", "interp_v.csv", "summary.txt"))

@@ -10,6 +10,7 @@ from vicontrol.mesh import (
     SIDES,
     Mesh,
     ScalarField,
+    _element_geometry,
     _prolongation,
     build_unit_square,
     constant_field,
@@ -90,6 +91,29 @@ def test_longest_edge_is_bitwise_the_largest_side_norm():
     # round as the largest of the side norms does
     for m in _edge_test_meshes():
         assert m.h == _longest_edge_by_norms(m.nodes, m.triangles)
+
+
+def _strided_geometry(mesh):
+    """b, c and area read through stride-2 views of the (T, 3, 2) corner array."""
+    p = mesh.nodes[mesh.triangles]
+    x, y = p[:, :, 0], p[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    return b, c, 0.5 * (x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
+
+
+def test_element_geometry_equals_the_strided_corner_reading_bit_for_bit():
+    # the geometry gathers x and y one coordinate at a time; on grids and on
+    # jittered meshes that are not grids its bytes are those of the corners
+    rng = np.random.default_rng(9)
+    jittered = []
+    for n in (5, 64, 128):
+        m = build_unit_square(n)
+        jittered.append(Mesh(m.nodes + rng.uniform(-0.3, 0.3, m.nodes.shape) / n, m.triangles,
+                             m.gamma1_edges, m.gamma2_edges))
+    for m in [*_edge_test_meshes(), build_unit_square(256), *jittered]:
+        for got, want in zip(_element_geometry(m), _strided_geometry(m)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_refine_inherits_boundary_tags():

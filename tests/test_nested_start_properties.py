@@ -12,10 +12,13 @@ from vicontrol.presets import box_control
 from vicontrol.vi_solver import (
     DEFAULT_TOL,
     FAMILIES,
+    _coarse_contact,
     build_vi_problem,
     solve_active_set,
     solve_state,
 )
+
+from oracles import reference_nested_contact
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -47,3 +50,18 @@ def test_a_nested_start_ends_at_the_cold_answer(n, family, gamma1, alpha, q, g):
     nested = solve_state(m, sys, data, family)
     assert nested.residual <= DEFAULT_TOL
     np.testing.assert_allclose(nested.values(), cold.values(), rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_the_nested_start_reads_off_the_contact_set_of_a_plain_jacobi_loop(n, family):
+    # the smoother is PSOR's projected sweep on one block of every free node,
+    # which divides by the diagonal before it multiplies by the damping; the
+    # reference multiplies first, as a plain Jacobi loop does (contact-v1)
+    m = build_unit_square(n)
+    data = ProblemData(alpha=2.0, b=1.0, q=1.0, M_cost=1.0,
+                       g=box_control(-20.0, 0.25, 0.75, 0.25, 0.75))
+    p = build_vi_problem(m, assemble(m, data), data, family)
+    got = _coarse_contact(p, DEFAULT_TOL)
+    assert got.size
+    np.testing.assert_array_equal(got, reference_nested_contact(p, DEFAULT_TOL))

@@ -559,6 +559,15 @@ def _block_test_operators():
     return [q._operator for q in _block_test_problems()]
 
 
+def _stored_twice(p):
+    """p with each stored entry of its matrix split in halves stored side by
+    side, so its CSR rows hold duplicates (in p's storage order)."""
+    a = p.A
+    twice = np.concatenate([np.tile(r, 2) for r in np.split(np.arange(a.nnz), a.indptr[1:-1])])
+    return replace(p, A=sp.csr_matrix((0.5 * a.data[twice], a.indices[twice], 2 * a.indptr),
+                                      shape=a.shape))
+
+
 def _ell_rows(op):
     """The (columns, values, row lengths) that ``op.ell`` stores, padding cut off."""
     cols, vals = op.ell
@@ -568,11 +577,8 @@ def _ell_rows(op):
 
 
 def test_ell_of_a_canonical_matrix_holds_the_arrays_of_its_coo_round_trip():
-    *canonical, skew = _block_test_problems()
-    a = skew.A  # stored in reverse column order, and a copy storing each entry twice, halved
-    twice = np.concatenate([np.tile(r, 2) for r in np.split(np.arange(a.nnz), a.indptr[1:-1])])
-    split = replace(skew, A=sp.csr_matrix((0.5 * a.data[twice], a.indices[twice], 2 * a.indptr),
-                                          shape=a.shape))
+    *canonical, skew = _block_test_problems()  # skew: stored in reverse column order
+    split = _stored_twice(skew)
     for k, p in enumerate(canonical + [skew, split]):
         op = p._operator
         assert op.a_ff.has_canonical_format == (k < len(canonical))
@@ -607,6 +613,55 @@ def test_factor_hands_splu_the_fancy_indexed_inactive_block(monkeypatch):
             np.testing.assert_array_equal(got.indptr, want.indptr)
             np.testing.assert_array_equal(got.indices, want.indices)
             assert got.data.tobytes() == want.data.tobytes()
+
+
+def _pin_test_operators():
+    """Both families, the Galerkin and skew problems, and the skew problem
+    with every entry stored twice: unsorted rows holding duplicates."""
+    return _block_test_operators() + [_stored_twice(_skew_problem(40))._operator]
+
+
+def test_a_block_is_the_cut_of_a_csc_copy_of_a_ff_array_for_array():
+    # block cuts a_ff's CSR arrays and converts the cut; SuperLU must get the
+    # arrays a cut of a_ff's CSC form gives, duplicates and unsorted rows too
+    rng = np.random.default_rng(11)
+    ops = _pin_test_operators()
+    assert not ops[-1].a_ff.has_canonical_format
+    for op in ops:
+        k = op.free.size
+        for active in [rng.random(k) < d for d in (0.1, 0.5, 0.9)] + [np.zeros(k, bool)]:
+            got, want = op.block(active), vi_solver._cut(op.a_ff.tocsc(), ~active)
+            assert got.format == want.format == "csc" and got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+def test_a_bordered_factor_takes_its_border_columns_as_a_csc_cut_would(monkeypatch):
+    # the border columns a_ff[I0 + S, S] come from a_ff's CSR form; they must
+    # equal the columns cut from a CSC copy, and so must the Schur complement
+    monkeypatch.setattr(vi_solver, "DENSE_MAX", 0)  # every base to SuperLU
+    schur, dense_lu = [], vi_solver._DenseLU
+    monkeypatch.setattr(vi_solver, "_DenseLU", lambda a: schur.append(a.copy()) or dense_lu(a))
+    rng = np.random.default_rng(12)
+    for op in _pin_test_operators():
+        k = op.free.size
+        base = rng.random(k) < 0.3
+        op.factor(base)
+        splu, border = op.base, []
+        op.base = SimpleNamespace(solve=lambda rhs: border.append(rhs.copy()) or splu.solve(rhs))
+        active = base.copy()
+        active[rng.choice(np.flatnonzero(base), 3, replace=False)] = False  # freed
+        active[rng.choice(np.flatnonzero(~base), 3, replace=False)] = True  # pinned
+        lu = op.factor(active)
+        assert isinstance(lu, vi_solver._Bordered)
+        idx0, freed = np.flatnonzero(~base), np.flatnonzero(base & ~active)
+        m, s = idx0.size, freed.size
+        want = np.zeros((m + 6, 6))
+        want[:m + s, :s] = op.a_ff.tocsc()[:, freed][np.append(idx0, freed)].toarray()
+        want[lu.pin, np.arange(s, 6)] = 1.0
+        assert border[0].tobytes() == want[:m].tobytes()
+        assert schur[-1].tobytes() == (want[m:] - lu._border(lu.W)).tobytes()
 
 
 def test_factor_pivots_spd_blocks_on_the_diagonal_and_solves_as_colamd(monkeypatch):
